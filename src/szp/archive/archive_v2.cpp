@@ -311,25 +311,17 @@ std::vector<float> ArchiveReader::extract_range(size_t i, size_t begin,
     cover_last = std::min(nblocks, div_ceil(last_block, gb) * gb);
   }
 
-  size_t skip_bytes = 0;    // payload before the covered span
-  size_t cover_bytes = 0;   // payload of the covered span
-  size_t total_bytes = 0;   // payload of all blocks (locates the footer)
-  for (size_t b = 0; b < nblocks; ++b) {
-    const std::uint8_t lb = static_cast<std::uint8_t>(lengths[b]);
-    if (!core::valid_length_byte(lb)) {
-      throw format_error("archive: entry '" + e.name +
-                         "' has an invalid length byte");
-    }
-    const size_t cl = core::block_payload_bytes(lb, L, h.zero_block_bypass());
-    if (b < cover_first) {
-      skip_bytes += cl;
-    } else if (b < cover_last) {
-      cover_bytes += cl;
-    }
-    total_bytes += cl;
-  }
+  // Payload before, inside and after the covered span; their sum locates
+  // the footer.
+  const std::string who = "archive: entry '" + e.name + "'";
+  const size_t skip_bytes =
+      core::scan_lengths(lengths, h, 0, cover_first).checked(who);
+  const size_t cover_bytes =
+      core::scan_lengths(lengths, h, cover_first, cover_last).checked(who);
   const size_t payload_base = core::payload_offset(nblocks);
-  const size_t footer_off = payload_base + total_bytes;
+  const size_t footer_off =
+      payload_base + skip_bytes + cover_bytes +
+      core::scan_lengths(lengths, h, cover_last, nblocks).checked(who);
   if (footer_off > stream_bytes) {
     throw format_error("archive: entry '" + e.name + "' stream truncated");
   }

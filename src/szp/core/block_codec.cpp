@@ -173,4 +173,93 @@ void read_block_payload(std::span<const byte_t> src, std::uint8_t length_byte,
   apply_signs(scratch.mags, src.first(groups), scratch.quant);
 }
 
+std::span<const byte_t> length_bytes(std::span<const byte_t> stream,
+                                     const Header& h) {
+  const size_t nblocks = num_blocks(h.num_elements, h.block_len);
+  if (stream.size() < payload_offset(nblocks)) {
+    throw format_error("truncated length area");
+  }
+  return stream.subspan(lengths_offset(), nblocks);
+}
+
+size_t LengthScan::checked(const std::string& who) const {
+  if (bad_byte) throw format_error(who + ": invalid length byte");
+  if (over_budget) throw format_error(who + ": truncated payload");
+  return bytes;
+}
+
+LengthScan scan_lengths(std::span<const byte_t> lengths, const Header& h,
+                        size_t first, size_t last, size_t budget) {
+  LengthScan s;
+  for (s.end = first; s.end < last; ++s.end) {
+    const std::uint8_t lb = lengths[s.end];
+    if (!valid_length_byte(lb)) {
+      s.bad_byte = true;
+      break;
+    }
+    const size_t cl = block_payload_bytes(lb, h.block_len,
+                                          h.zero_block_bypass());
+    if (cl > budget - s.bytes) {
+      s.over_budget = true;
+      break;
+    }
+    s.bytes += cl;
+  }
+  return s;
+}
+
+template <typename T>
+void reconstruct_block(const Header& h, std::span<std::int32_t> quant,
+                       size_t skip, std::span<T> out) {
+  // Two-layer Lorenzo is honoured only under the Lorenzo flag, as encoded.
+  if (h.lorenzo()) {
+    if (h.lorenzo2()) {
+      lorenzo2_inverse(quant);
+    } else {
+      lorenzo_inverse(quant);
+    }
+  }
+  dequantize(quant.subspan(skip, out.size()), h.eb_abs, out);
+}
+
+template <typename T>
+void decode_blocks(std::span<const byte_t> stream, const Header& h,
+                   size_t first, size_t last, size_t payload, size_t window,
+                   std::span<T> out, BlockScratch& scratch) {
+  const unsigned L = h.block_len;
+  for (size_t b = first; b < last; ++b) {
+    const std::uint8_t lb = stream[lengths_offset() + b];
+    const size_t cl = block_payload_bytes(lb, L, h.zero_block_bypass());
+    const size_t lo = std::max(b * L, window);
+    const size_t hi = std::min({b * L + L, window + out.size(),
+                                size_t{h.num_elements}});
+    const std::span<T> dst = out.subspan(lo - window, hi - lo);
+    if (cl == 0) {
+      std::fill(dst.begin(), dst.end(), T{0});
+      continue;
+    }
+    // BB covers undoing the payload packing; QP covers the prediction
+    // inverse and dequantize, the mirror of the compress-side split.
+    obs::hostprof::SplitTimer stage(obs::hostprof::Bucket::kBB);
+    read_block_payload(stream.subspan(payload, cl), lb, L, h.bit_shuffle(),
+                       scratch);
+    stage.split(obs::hostprof::Bucket::kQP);
+    reconstruct_block(h, std::span<std::int32_t>(scratch.quant), lo - b * L,
+                      dst);
+    payload += cl;
+  }
+}
+
+template void reconstruct_block<float>(const Header&, std::span<std::int32_t>,
+                                       size_t, std::span<float>);
+template void reconstruct_block<double>(const Header&,
+                                        std::span<std::int32_t>, size_t,
+                                        std::span<double>);
+template void decode_blocks<float>(std::span<const byte_t>, const Header&,
+                                   size_t, size_t, size_t, size_t,
+                                   std::span<float>, BlockScratch&);
+template void decode_blocks<double>(std::span<const byte_t>, const Header&,
+                                    size_t, size_t, size_t, size_t,
+                                    std::span<double>, BlockScratch&);
+
 }  // namespace szp::core

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "szp/core/format.hpp"
@@ -78,5 +79,47 @@ void write_block_payload(const BlockScratch& scratch, std::uint8_t length_byte,
 /// the Lorenzo inverse / dequantization).
 void read_block_payload(std::span<const byte_t> src, std::uint8_t length_byte,
                         unsigned L, bool shuffle, BlockScratch& scratch);
+
+// Every decoder locates payloads with scan_lengths and rebuilds values
+// with reconstruct_block, so no two can disagree on what a stream means.
+
+/// The per-block length bytes of `stream`; throws format_error if the
+/// stream is shorter than its length area.
+[[nodiscard]] std::span<const byte_t> length_bytes(
+    std::span<const byte_t> stream, const Header& h);
+
+/// Outcome of a length-byte scan over blocks [first, last).
+struct LengthScan {
+  size_t end = 0;            // first block not scanned (== last if complete)
+  size_t bytes = 0;          // payload bytes of blocks [first, end)
+  bool bad_byte = false;     // stopped at an invalid length byte
+  bool over_budget = false;  // stopped where the payload overran the budget
+
+  /// `bytes`, or format_error prefixed with `who` if the scan stopped.
+  [[nodiscard]] size_t checked(const std::string& who) const;
+};
+
+/// Prefix sum of payload bytes over blocks [first, last) of `lengths`,
+/// stopping before the first invalid length byte or before the block
+/// whose payload would take the total past `budget`.
+[[nodiscard]] LengthScan scan_lengths(
+    std::span<const byte_t> lengths, const Header& h, size_t first,
+    size_t last, size_t budget = static_cast<size_t>(-1));
+
+/// Lorenzo inverse (as the header's flags say) over a whole block of
+/// quantization integers, then dequantize elements [skip, skip+out.size())
+/// into `out`.
+template <typename T>
+void reconstruct_block(const Header& h, std::span<std::int32_t> quant,
+                       size_t skip, std::span<T> out);
+
+/// Decode blocks [first, last), whose payloads start at stream offset
+/// `payload` and whose length bytes a scan has already validated. Only
+/// elements inside the window [window, window + out.size()) are written,
+/// to out[element - window]; zero blocks write zeros.
+template <typename T>
+void decode_blocks(std::span<const byte_t> stream, const Header& h,
+                   size_t first, size_t last, size_t payload, size_t window,
+                   std::span<T> out, BlockScratch& scratch);
 
 }  // namespace szp::core

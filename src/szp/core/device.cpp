@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "szp/core/block_codec.hpp"
-#include "szp/core/stages.hpp"
 #include "szp/gpusim/launch.hpp"
 #include "szp/gpusim/scan.hpp"
 #include "szp/gpusim/view.hpp"
@@ -562,7 +561,6 @@ DeviceCodecResult decompress_device_impl(gs::Device& dev,
     const std::uint64_t sec0 = tm ? obs::now_ns() : 0;
     std::uint64_t bb_ns = 0;
     BlockScratch scratch;
-    std::vector<T> block_out(L);
     size_t elems = 0, payload_bytes = 0;
     for (unsigned lane = 0; lane < active; ++lane) {
       const size_t block = first_block + lane;
@@ -582,16 +580,8 @@ DeviceCodecResult decompress_device_impl(gs::Device& dev,
       read_block_payload(stream.subspan(off, lane_len[lane]), lbs[lane], L,
                          h.bit_shuffle(), scratch);
       if (tm) bb_ns += obs::now_ns() - lane_t0;
-      if (h.lorenzo()) {
-      if (h.lorenzo2()) {
-        lorenzo2_inverse(scratch.quant);
-      } else {
-        lorenzo_inverse(scratch.quant);
-      }
-    }
-      dequantize(scratch.quant, h.eb_abs, std::span<T>(block_out));
-      std::copy(block_out.begin(), block_out.begin() + len,
-                data.begin() + begin);
+      reconstruct_block(h, std::span<std::int32_t>(scratch.quant), 0,
+                        data.subspan(begin, len));
       payload_bytes += lane_len[lane];
     }
     ctx.read(gs::Stage::kBitShuffle, payload_bytes);

@@ -179,31 +179,20 @@ ChecksumFooter ChecksumFooter::deserialize(std::span<const byte_t> in) {
 std::vector<GroupSpan> checksum_group_spans(std::span<const byte_t> stream,
                                             const Header& h,
                                             unsigned group_blocks) {
-  const size_t nblocks = num_blocks(h.num_elements, h.block_len);
-  if (stream.size() < payload_offset(nblocks)) {
-    throw format_error("checksum_group_spans: truncated length area");
-  }
+  const auto lengths = length_bytes(stream, h);
+  const size_t nblocks = lengths.size();
   const size_t groups = num_checksum_groups(nblocks, group_blocks);
-  std::vector<GroupSpan> spans;
-  spans.reserve(groups);
+  std::vector<GroupSpan> spans(groups);
   size_t off = payload_offset(nblocks);
   for (size_t g = 0; g < groups; ++g) {
-    GroupSpan s;
+    GroupSpan& s = spans[g];
     s.first_block = g * group_blocks;
     s.last_block = std::min(nblocks, s.first_block + group_blocks);
     s.payload_begin = off;
-    for (size_t b = s.first_block; b < s.last_block; ++b) {
-      const std::uint8_t lb = stream[lengths_offset() + b];
-      if (!valid_length_byte(lb)) {
-        throw format_error("checksum_group_spans: invalid length byte");
-      }
-      off += block_payload_bytes(lb, h.block_len, h.zero_block_bypass());
-    }
+    off += scan_lengths(lengths, h, s.first_block, s.last_block,
+                        stream.size() - off)
+               .checked("checksum_group_spans");
     s.payload_end = off;
-    spans.push_back(s);
-  }
-  if (off > stream.size()) {
-    throw format_error("checksum_group_spans: truncated payload");
   }
   return spans;
 }
@@ -221,34 +210,21 @@ std::uint32_t checksum_group_crc(std::span<const byte_t> stream,
 void verify_checksums(std::span<const byte_t> stream, const Header& h,
                       size_t first_block, size_t last_block) {
   if (!h.checksummed()) return;
-  const size_t nblocks = num_blocks(h.num_elements, h.block_len);
-  // Footer location from the prefix sum over all length bytes (any
+  // One walk yields every group's extent and the footer location (a
   // tampered length byte shifts it, which the footer magic/CRC catches).
-  size_t footer_off = payload_offset(nblocks);
-  if (stream.size() < footer_off) {
-    throw format_error("verify_checksums: truncated length area");
-  }
-  for (size_t b = 0; b < nblocks; ++b) {
-    const std::uint8_t lb = stream[lengths_offset() + b];
-    if (!valid_length_byte(lb)) {
-      throw format_error("verify_checksums: invalid length byte");
-    }
-    footer_off += block_payload_bytes(lb, h.block_len, h.zero_block_bypass());
-  }
-  if (footer_off > stream.size()) {
-    throw format_error("verify_checksums: truncated payload");
-  }
+  const auto spans = checksum_group_spans(stream, h, h.checksum_group_blocks);
+  const size_t payload_base =
+      payload_offset(num_blocks(h.num_elements, h.block_len));
+  const size_t footer_off =
+      spans.empty() ? payload_base : spans.back().payload_end;
   const ChecksumFooter footer =
       ChecksumFooter::deserialize(stream.subspan(footer_off));
   if (footer.group_blocks != h.checksum_group_blocks) {
     throw format_error("verify_checksums: group size disagrees with header");
   }
-  if (footer.crcs.size() !=
-      num_checksum_groups(nblocks, footer.group_blocks)) {
+  if (footer.crcs.size() != spans.size()) {
     throw format_error("verify_checksums: group count mismatch");
   }
-  const auto spans = checksum_group_spans(stream, h, footer.group_blocks);
-  const size_t payload_base = payload_offset(nblocks);
   for (size_t g = 0; g < spans.size(); ++g) {
     if (spans[g].last_block <= first_block || spans[g].first_block >= last_block) {
       continue;  // outside the requested block range

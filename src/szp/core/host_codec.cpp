@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "szp/core/stages.hpp"
+#include "szp/core/random_access.hpp"
 #include "szp/obs/hostprof/hostprof.hpp"
 
 namespace szp::core {
@@ -158,89 +158,74 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
   return out;
 }
 
+/// Parse a stream header for a decoder of element type T.
 template <typename T>
-std::vector<T> decompress_impl(std::span<const byte_t> stream, Executor& exec,
-                               HostScratch& scratch) {
+Header parse_header(std::span<const byte_t> stream) {
   const Header h = Header::deserialize(stream);
   if (h.is_f64() != std::is_same_v<T, double>) {
     throw format_error("decompress: stream data type mismatch (f32 vs f64)");
   }
-  const unsigned L = h.block_len;
-  const size_t n = h.num_elements;
-  const size_t nblocks = num_blocks(n, L);
-  if (stream.size() < payload_offset(nblocks)) {
-    throw format_error("decompress: truncated length area");
-  }
+  return h;
+}
 
-  // Rebuild offsets with the same prefix sum the compressor used.
-  scratch.offsets.resize(nblocks);
-  std::uint64_t total = 0;
+/// Blocks covering elements [begin, end) of a stream.
+BlockRange covered_blocks(const Header& h, size_t begin, size_t end) {
+  if (begin > end || end > h.num_elements) {
+    throw format_error("decompress: range out of bounds");
+  }
+  const size_t first = begin / h.block_len;
+  return {first, begin == end ? first : div_ceil(end, size_t{h.block_len})};
+}
+
+/// The decoder's global synchronization: one validated walk of the length
+/// bytes up to `r.end`, recording where each of `nchunks` chunks of the
+/// range starts its payload (starts[nchunks] = end of the range's
+/// payload); then v2 streams CRC-check the groups covering the range.
+void locate_chunks(std::span<const byte_t> stream, const Header& h,
+                   BlockRange r, size_t nchunks,
+                   std::vector<std::uint64_t>& starts) {
   {
     const hostprof::ScopedTimer gs(hostprof::Bucket::kGS);
-    for (size_t b = 0; b < nblocks; ++b) {
-      const std::uint8_t lb = stream[lengths_offset() + b];
-      if (!valid_length_byte(lb)) {
-        throw format_error("decompress: invalid length byte");
-      }
-      scratch.offsets[b] = total;
-      total += block_payload_bytes(lb, L, h.zero_block_bypass());
+    const auto lengths = length_bytes(stream, h);
+    starts.resize(nchunks + 1);
+    size_t off = payload_offset(lengths.size());
+    for (size_t c = 0, from = 0; c <= nchunks; ++c) {
+      const size_t to =
+          c < nchunks ? r.begin + chunk_range(r.end - r.begin, nchunks, c).begin
+                      : r.end;
+      off += scan_lengths(lengths, h, from, to, stream.size() - off)
+                 .checked("decompress");
+      starts[c] = off;
+      from = to;
     }
   }
-  const size_t base = payload_offset(nblocks);
-  if (stream.size() < base + total) {
-    throw format_error("decompress: truncated payload");
-  }
-  // v2 streams are integrity-checked before any payload is interpreted;
-  // a flipped bit fails here instead of dequantizing into garbage.
-  {
-    const hostprof::ScopedTimer crc(hostprof::Bucket::kChecksum);
-    verify_checksums(stream, h);
-  }
+  const hostprof::ScopedTimer crc(hostprof::Bucket::kChecksum);
+  verify_checksums(stream, h, r.begin, r.end);
+}
 
-  std::vector<T> out(n, T{0});
-  const size_t nchunks = chunk_count(nblocks, exec);
+/// The host decoder: elements [begin, end) of `stream`, one executor task
+/// per chunk of the covering blocks, written straight into the result.
+template <typename T>
+std::vector<T> decode_host(std::span<const byte_t> stream, const Header& h,
+                           size_t begin, size_t end, Executor& exec,
+                           HostScratch& scratch) {
+  const BlockRange r = covered_blocks(h, begin, end);
+  const size_t nchunks = chunk_count(r.end - r.begin, exec);
+  locate_chunks(stream, h, r, nchunks, scratch.chunk_offset);
   if (scratch.chunks.size() < nchunks) scratch.chunks.resize(nchunks);
-
-  // Parallel per-block decode into disjoint output ranges.
+  std::vector<T> out(end - begin);
   exec.run(nchunks, [&](size_t c) {
-    const BlockRange r = chunk_range(nblocks, nchunks, c);
-    HostScratch::Chunk& ch = scratch.chunks[c];
-    auto& block_out = [&]() -> std::vector<T>& {
-      if constexpr (std::is_same_v<T, double>) return ch.out_f64;
-      else return ch.out_f32;
-    }();
-    block_out.resize(L);
-    for (size_t b = r.begin; b < r.end; ++b) {
-      const size_t begin = b * L;
-      const size_t len = std::min<size_t>(L, n - begin);
-      const std::uint8_t lb = stream[lengths_offset() + b];
-      const size_t cl = block_payload_bytes(lb, L, h.zero_block_bypass());
-      if (cl == 0) continue;  // zero block: out is pre-zeroed
-      // BB covers undoing the payload packing; QP covers the prediction
-      // inverse and dequantize — the mirror of the compress-side split.
-      hostprof::SplitTimer stage(hostprof::Bucket::kBB);
-      read_block_payload(stream.subspan(base + scratch.offsets[b], cl), lb, L,
-                         h.bit_shuffle(), ch.block);
-      stage.split(hostprof::Bucket::kQP);
-      if (h.lorenzo()) {
-        if (h.lorenzo2()) {
-          lorenzo2_inverse(ch.block.quant);
-        } else {
-          lorenzo_inverse(ch.block.quant);
-        }
-      }
-      dequantize(ch.block.quant, h.eb_abs, std::span<T>(block_out));
-      std::copy(block_out.begin(), block_out.begin() + len,
-                out.begin() + begin);
-    }
+    const BlockRange cr = chunk_range(r.end - r.begin, nchunks, c);
+    decode_blocks<T>(stream, h, r.begin + cr.begin, r.begin + cr.end,
+                     scratch.chunk_offset[c], begin, out,
+                     scratch.chunks[c].block);
   });
-
   if (hostprof::enabled()) {
     auto& prof = hostprof::Profiler::instance();
     prof.count(hostprof::HostCounter::kDecompressCalls);
-    prof.count(hostprof::HostCounter::kBlocksDecoded, nblocks);
+    prof.count(hostprof::HostCounter::kBlocksDecoded, r.end - r.begin);
     prof.count(hostprof::HostCounter::kBytesRead, stream.size());
-    prof.count(hostprof::HostCounter::kBytesWritten, n * sizeof(T));
+    prof.count(hostprof::HostCounter::kBytesWritten, out.size() * sizeof(T));
     prof.count(hostprof::HostCounter::kChunks, nchunks);
   }
   return out;
@@ -279,12 +264,29 @@ std::vector<byte_t> compress_host(std::span<const double> data,
 
 std::vector<float> decompress_host(std::span<const byte_t> stream,
                                    Executor& exec, HostScratch& scratch) {
-  return decompress_impl<float>(stream, exec, scratch);
+  const Header h = parse_header<float>(stream);
+  return decode_host<float>(stream, h, 0, h.num_elements, exec, scratch);
 }
 
 std::vector<double> decompress_host_f64(std::span<const byte_t> stream,
                                         Executor& exec, HostScratch& scratch) {
-  return decompress_impl<double>(stream, exec, scratch);
+  const Header h = parse_header<double>(stream);
+  return decode_host<double>(stream, h, 0, h.num_elements, exec, scratch);
+}
+
+std::vector<float> decompress_range(std::span<const byte_t> stream,
+                                    size_t begin, size_t end) {
+  HostScratch scratch;
+  return decode_host<float>(stream, parse_header<float>(stream), begin, end,
+                            serial_executor(), scratch);
+}
+
+size_t range_payload_bytes(std::span<const byte_t> stream, size_t begin,
+                           size_t end) {
+  const Header h = Header::deserialize(stream);
+  std::vector<std::uint64_t> starts;
+  locate_chunks(stream, h, covered_blocks(h, begin, end), 1, starts);
+  return starts[1] - starts[0];
 }
 
 size_t compressed_bytes_probe(std::span<const float> data,

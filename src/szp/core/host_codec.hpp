@@ -47,14 +47,12 @@ struct HostScratch {
   struct Chunk {
     BlockScratch block;
     std::vector<byte_t> payload;
-    std::vector<float> out_f32;    // one block of decoded values
-    std::vector<double> out_f64;
   };
 
   std::vector<Chunk> chunks;
   std::vector<std::uint64_t> chunk_bytes;   // pass-1 payload total per chunk
-  std::vector<std::uint64_t> chunk_offset;  // exclusive scan of chunk_bytes
-  std::vector<std::uint64_t> offsets;       // per-block payload offsets (decode)
+  std::vector<std::uint64_t> chunk_offset;  // exclusive scan of chunk_bytes;
+                                            // on decode, chunk payload starts
 };
 
 /// Largest value range helper (REL-mode resolution); 0 for empty data.

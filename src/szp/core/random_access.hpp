@@ -17,6 +17,8 @@ namespace szp::core {
 
 /// Decompress elements [begin, end) of a cuSZp stream. Equivalent to
 /// decompress_serial(stream)[begin..end) but touches only covered blocks.
+/// Like decompress_serial, throws format_error on a stream of f64 data
+/// (the f32 result could not honour the bound).
 [[nodiscard]] std::vector<float> decompress_range(
     std::span<const byte_t> stream, size_t begin, size_t end);
 

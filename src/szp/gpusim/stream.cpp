@@ -308,12 +308,14 @@ void Stream::thread_loop() {
       if (!error_) error_ = std::current_exception();
       poisoned_ = true;
     }
+    // Retire the device-wide pending count before publishing completion:
+    // a host woken by synchronize() must already see the op as done.
+    dev_.sub_async_pending();
     {
       const LockGuard lock(m_);
       ++completed_;
     }
     drained_cv_.notify_all();
-    dev_.sub_async_pending();
   }
 }
 

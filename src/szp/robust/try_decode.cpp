@@ -8,7 +8,6 @@
 #include "szp/core/block_codec.hpp"
 #include "szp/core/compressor.hpp"
 #include "szp/core/format.hpp"
-#include "szp/core/stages.hpp"
 #include "szp/obs/metrics.hpp"
 #include "szp/obs/telemetry/flight_recorder.hpp"
 #include "szp/obs/telemetry/telemetry.hpp"
@@ -138,57 +137,10 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
     }
   };
 
+  const auto lengths = stream.subspan(core::lengths_offset(), nblocks);
   core::BlockScratch scratch;
-  std::vector<T> block_out(L);
-  // Decode one structurally validated block into the output.
-  auto decode_block = [&](size_t b, std::uint8_t lb, size_t off, size_t cl) {
-    if (cl != 0) {
-      core::read_block_payload(stream.subspan(off, cl), lb, L,
-                               h.bit_shuffle(), scratch);
-      if (h.lorenzo()) {
-        if (h.lorenzo2()) {
-          core::lorenzo2_inverse(scratch.quant);
-        } else {
-          core::lorenzo_inverse(scratch.quant);
-        }
-      }
-      core::dequantize(scratch.quant, h.eb_abs, std::span<T>(block_out));
-    } else {
-      std::fill(block_out.begin(), block_out.end(), T{0});
-    }
-    const size_t begin = b * L;
-    const size_t len = std::min<size_t>(L, n - begin);
-    std::copy(block_out.begin(), block_out.begin() + len,
-              out->begin() + begin);
-  };
-
-  const auto block_bytes = [&](std::uint8_t lb) {
-    return core::block_payload_bytes(lb, L, h.zero_block_bypass());
-  };
-
-  if (!h.checksummed()) {
-    // ---- v1: structural validation only; no re-alignment is possible
-    // past the first defect, so salvage keeps the prefix.
-    if (out) out->assign(n, T{0});
-    size_t off = base;
-    for (size_t b = 0; b < nblocks; ++b) {
-      const std::uint8_t lb = stream[core::lengths_offset() + b];
-      if (!core::valid_length_byte(lb)) {
-        rep.status = Status::kBadLengthByte;
-        rep.detail = "invalid length byte at block " + std::to_string(b);
-        mark_corrupt(b, nblocks);
-        break;
-      }
-      const size_t cl = block_bytes(lb);
-      if (off + cl > stream.size()) {
-        rep.status = Status::kTruncated;
-        rep.detail = "payload truncated at block " + std::to_string(b);
-        mark_corrupt(b, nblocks);
-        break;
-      }
-      if (out) decode_block(b, lb, off, cl);
-      off += cl;
-    }
+  // Salvage keeps what decoded; otherwise a defect leaves `out` empty.
+  const auto finish = [&] {
     if (!rep.ok() && out) {
       if (opts.salvage) {
         rep.salvaged = true;
@@ -197,31 +149,40 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
       }
     }
     return rep;
+  };
+
+  if (out) out->assign(n, T{0});
+  if (!h.checksummed()) {
+    // ---- v1: structural validation only; no re-alignment is possible
+    // past the first defect, so salvage keeps the prefix.
+    const core::LengthScan s =
+        core::scan_lengths(lengths, h, 0, nblocks, stream.size() - base);
+    if (out) {
+      core::decode_blocks<T>(stream, h, 0, s.end, base, 0, *out, scratch);
+    }
+    if (s.end < nblocks) {
+      rep.status = s.bad_byte ? Status::kBadLengthByte : Status::kTruncated;
+      rep.detail = (s.bad_byte ? "invalid length byte at block "
+                               : "payload truncated at block ") +
+                   std::to_string(s.end);
+      mark_corrupt(s.end, nblocks);
+    }
+    return finish();
   }
 
   // ---- v2: verify and decode group by group, re-aligning from the
   // footer's per-group payload offsets after any corrupt group.
-  size_t computed_off = base;
-  for (size_t b = 0; b < nblocks; ++b) {
-    const std::uint8_t lb = stream[core::lengths_offset() + b];
-    if (!core::valid_length_byte(lb)) {
-      computed_off = static_cast<size_t>(-1);
-      break;
-    }
-    computed_off += block_bytes(lb);
-  }
+  const core::LengthScan all = core::scan_lengths(lengths, h, 0, nblocks);
+  const size_t computed_off =
+      all.bad_byte ? static_cast<size_t>(-1) : base + all.bytes;
 
   size_t footer_off = 0;
   const auto footer = find_footer(stream, base, computed_off, footer_off);
   const unsigned gb = h.checksum_group_blocks;
   rep.groups_total = core::num_checksum_groups(nblocks, gb);
 
-  bool footer_usable = footer.has_value();
-  if (footer_usable && (footer->group_blocks != gb ||
-                        footer->crcs.size() != rep.groups_total)) {
-    footer_usable = false;
-  }
-  if (!footer_usable) {
+  if (!footer || footer->group_blocks != gb ||
+      footer->crcs.size() != rep.groups_total) {
     // No trustworthy footer: nothing in the stream can be vouched for.
     rep.status = footer ? Status::kSizeMismatch : Status::kFooterMissing;
     rep.detail = footer ? "footer layout disagrees with header"
@@ -232,14 +193,9 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
       rep.groups.push_back({g, g * gb, std::min(nblocks, (g + 1) * size_t{gb}),
                             false});
     }
-    if (out && opts.salvage) {
-      out->assign(n, T{0});
-      rep.salvaged = true;
-    }
-    return rep;
+    return finish();
   }
 
-  if (out) out->assign(n, T{0});
   for (size_t g = 0; g < rep.groups_total; ++g) {
     const size_t first = g * gb;
     const size_t last = std::min(nblocks, first + gb);
@@ -249,18 +205,11 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
                           : footer_off;
     bool ok = footer->offsets[g] <= footer_off - base && pb <= pe &&
               pe <= footer_off && footer_off <= stream.size();
-    size_t lb_sum = 0;
     if (ok) {
-      for (size_t b = first; b < last; ++b) {
-        const std::uint8_t lb = stream[core::lengths_offset() + b];
-        if (!core::valid_length_byte(lb)) {
-          ok = false;
-          break;
-        }
-        lb_sum += block_bytes(lb);
-      }
+      const core::LengthScan s =
+          core::scan_lengths(lengths, h, first, last, pe - pb);
+      ok = s.end == last && pb + s.bytes == pe;
     }
-    ok = ok && pb + lb_sum == pe;
     if (ok) {
       const core::GroupSpan span{first, last, pb, pe};
       ok = footer->crcs[g] == core::checksum_group_crc(stream, span);
@@ -276,23 +225,10 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
       continue;
     }
     if (out) {
-      size_t off = pb;
-      for (size_t b = first; b < last; ++b) {
-        const std::uint8_t lb = stream[core::lengths_offset() + b];
-        const size_t cl = block_bytes(lb);
-        decode_block(b, lb, off, cl);
-        off += cl;
-      }
+      core::decode_blocks<T>(stream, h, first, last, pb, 0, *out, scratch);
     }
   }
-  if (!rep.ok() && out) {
-    if (opts.salvage) {
-      rep.salvaged = true;
-    } else {
-      out->clear();
-    }
-  }
-  return rep;
+  return finish();
 }
 
 /// Surface salvage outcomes through the metrics registry so fuzz runs and

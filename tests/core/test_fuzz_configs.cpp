@@ -1,14 +1,20 @@
 // Fuzz-lite: 200 random (data shape, Params) configurations must all
 // compress, decompress, respect the bound, and match between the serial
-// and device paths. Catches interactions between toggles that the
-// targeted tests miss.
+// and device paths; every other decoder (pooled host, no-throw, range,
+// device) must reproduce the serial decode bit for bit. Catches
+// interactions between toggles that the targeted tests miss.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "szp/core/compressor.hpp"
+#include "szp/core/host_codec.hpp"
+#include "szp/core/random_access.hpp"
 #include "szp/core/serial.hpp"
+#include "szp/engine/thread_pool.hpp"
 #include "szp/metrics/error.hpp"
+#include "szp/robust/try_decode.hpp"
 #include "szp/util/rng.hpp"
 
 namespace szp::core {
@@ -39,6 +45,42 @@ std::vector<float> random_signal(Rng& rng, size_t n) {
     }
   }
   return v;
+}
+
+template <typename T>
+::testing::AssertionResult bit_identical(std::span<const T> got,
+                                         std::span<const T> want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(T)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " != " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every host decoder must agree with the serial decode bit for bit: the
+/// pooled decoder (3 slots, so the blocks span several chunks) and the
+/// no-throw decoder.
+template <typename T>
+void expect_host_decoders_match(std::span<const byte_t> stream,
+                                std::span<const T> want) {
+  static engine::ThreadPool pool(3);
+  HostScratch scratch;
+  std::vector<T> pooled, salvaged;
+  if constexpr (std::is_same_v<T, double>) {
+    pooled = decompress_host_f64(stream, pool, scratch);
+    ASSERT_TRUE(robust::try_decompress_f64(stream, salvaged).ok());
+  } else {
+    pooled = decompress_host(stream, pool, scratch);
+    ASSERT_TRUE(robust::try_decompress(stream, salvaged).ok());
+  }
+  EXPECT_TRUE(bit_identical<T>(pooled, want)) << "decompress_host";
+  EXPECT_TRUE(bit_identical<T>(salvaged, want)) << "try_decompress";
 }
 
 TEST(FuzzConfigs, TwoHundredRandomConfigurations) {
@@ -77,6 +119,15 @@ TEST(FuzzConfigs, TwoHundredRandomConfigurations) {
     }
     ASSERT_TRUE(metrics::error_bounded(data, recon,
                                        p.error_bound + max_abs * 1.2e-7));
+    expect_host_decoders_match<float>(stream, recon);
+    // Own seed, so the trial configurations above stay as they were.
+    Rng pick(0x5EED + static_cast<std::uint64_t>(trial));
+    const size_t a = pick.next_below(n + 1);
+    const size_t b = a + pick.next_below(n - a + 1);
+    EXPECT_TRUE(bit_identical<float>(
+        decompress_range(stream, a, b),
+        std::span<const float>(recon).subspan(a, b - a)))
+        << "decompress_range [" << a << ", " << b << ")";
 
     // Device equality on a random quarter of the trials (keeps runtime
     // reasonable while still covering every toggle combination over the
@@ -91,6 +142,10 @@ TEST(FuzzConfigs, TwoHundredRandomConfigurations) {
       const auto device_stream = gpusim::to_host(dev, d_cmp, res.bytes);
       ASSERT_TRUE(
           std::equal(stream.begin(), stream.end(), device_stream.begin()));
+      gpusim::DeviceBuffer<float> d_out(dev, n);
+      (void)decompress_device(dev, d_cmp, d_out, res.bytes);
+      EXPECT_TRUE(bit_identical<float>(gpusim::to_host(dev, d_out, n), recon))
+          << "decompress_device";
     }
   }
 }
@@ -121,6 +176,7 @@ TEST(FuzzConfigs, FiftyRandomF64Configurations) {
     for (size_t i = 0; i < n; ++i) {
       ASSERT_LE(std::abs(data[i] - recon[i]), p.error_bound + 1e-10) << i;
     }
+    expect_host_decoders_match<double>(stream, recon);
   }
 }
 

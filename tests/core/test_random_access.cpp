@@ -2,6 +2,8 @@
 // partial-read accounting, bounds handling.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "szp/core/random_access.hpp"
 #include "szp/core/serial.hpp"
 #include "szp/data/registry.hpp"
@@ -87,6 +89,20 @@ TEST(RandomAccess, OutOfBoundsThrows) {
   const Fixture fx(1000);
   EXPECT_THROW((void)decompress_range(fx.stream, 0, 1001), format_error);
   EXPECT_THROW((void)decompress_range(fx.stream, 500, 400), format_error);
+}
+
+TEST(RandomAccess, RejectsF64StreamLikeFullDecode) {
+  std::vector<double> data(1000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = std::sin(static_cast<double>(i) * 0.01) * 100.0;
+  }
+  Params p;
+  p.mode = ErrorMode::kAbs;
+  p.error_bound = 1e-6;
+  const auto stream = compress_serial_f64(data, p);
+  EXPECT_THROW((void)decompress_serial(stream), format_error);
+  EXPECT_THROW((void)decompress_range(stream, 0, 1000), format_error);
+  EXPECT_THROW((void)decompress_range(stream, 10, 20), format_error);
 }
 
 TEST(RandomAccess, WorksOnSuiteFieldsWithZeroBlocks) {

@@ -123,7 +123,8 @@ const std::vector<std::string>& decode_path_files() {
       "szp/robust/",  // the whole no-throw/salvage decode layer
       "szp/core/format.cpp",
       "szp/core/serial.cpp",
-      "szp/core/random_access.cpp",
+      "szp/core/block_codec.cpp",  // length-byte scan + block decoder
+      "szp/core/host_codec.cpp",   // host full and range decode
   };
   return v;
 }
