@@ -15,6 +15,7 @@ namespace gs = gpusim;
 namespace {
 
 constexpr std::uint8_t kConstantFlag = 0x80;
+constexpr unsigned kMaxFixedLength = 32;
 
 struct BlockPlan {
   bool constant = false;
@@ -26,6 +27,14 @@ struct BlockPlan {
 
 size_t nonconstant_len(unsigned f, unsigned L) {
   return (static_cast<size_t>(f) + 1) * L / 8;
+}
+
+/// Payload bytes of a block with this meta byte. Throws on a fixed length
+/// the encoder never writes, so decode_block sees only f <= 32.
+size_t payload_len(std::uint8_t meta, unsigned L) {
+  if (meta & kConstantFlag) return sizeof(float);
+  if (meta > kMaxFixedLength) throw format_error("xsz: invalid fixed length");
+  return nonconstant_len(meta, L);
 }
 
 /// Decide constant/non-constant and the fixed length for one block.
@@ -131,7 +140,8 @@ Header Header::deserialize(std::span<const byte_t> in) {
 
 size_t max_compressed_bytes(size_t n, unsigned block_len) {
   const size_t nblocks = div_ceil(n, static_cast<size_t>(block_len));
-  return Header::kSize + nblocks + nblocks * nonconstant_len(32, block_len);
+  return Header::kSize + nblocks +
+         nblocks * nonconstant_len(kMaxFixedLength, block_len);
 }
 
 std::vector<byte_t> compress_serial(std::span<const float> data,
@@ -199,9 +209,7 @@ std::vector<float> decompress_serial(std::span<const byte_t> stream) {
   size_t off = Header::kSize + nblocks;
   for (size_t b = 0; b < nblocks; ++b) {
     const std::uint8_t meta = stream[Header::kSize + b];
-    const size_t cl = (meta & kConstantFlag)
-                          ? sizeof(float)
-                          : nonconstant_len(meta, L);
+    const size_t cl = payload_len(meta, L);
     if (off + cl > stream.size()) throw format_error("xsz: truncated payload");
     const size_t begin = b * L;
     const size_t len = std::min<size_t>(L, n - begin);
@@ -224,7 +232,7 @@ DeviceCodecResult compress_device(gs::Device& dev,
   }
   const auto before = dev.snapshot();
 
-  const size_t stride = nonconstant_len(32, L);  // worst-case slot
+  const size_t stride = nonconstant_len(kMaxFixedLength, L);  // worst-case slot
   gs::DeviceBuffer<byte_t> d_scratch(dev, std::max<size_t>(1, nblocks * stride),
                                      byte_t{0});
   gs::DeviceBuffer<byte_t> d_meta(dev, std::max<size_t>(1, nblocks), byte_t{0});
@@ -324,7 +332,7 @@ DeviceCodecResult decompress_device(gs::Device& dev,
     for (size_t b = 0; b < nblocks; ++b) {
       offsets[b] = off;
       const std::uint8_t meta = h_meta[Header::kSize + b];
-      off += (meta & kConstantFlag) ? sizeof(float) : nonconstant_len(meta, L);
+      off += payload_len(meta, L);
     }
     return 0;
   });
@@ -342,8 +350,7 @@ DeviceCodecResult decompress_device(gs::Device& dev,
       const size_t b = ctx.block_idx * kBlocksPerCta + k;
       if (b >= nblocks) break;
       const std::uint8_t meta = stream[Header::kSize + b];
-      const size_t cl =
-          (meta & kConstantFlag) ? sizeof(float) : nonconstant_len(meta, L);
+      const size_t cl = payload_len(meta, L);
       const size_t begin = b * L;
       const size_t len = std::min<size_t>(L, n - begin);
       if (offsets[b] + cl > stream.size()) {

@@ -68,13 +68,13 @@ std::uint8_t encode_block(std::span<const T> data, size_t n, size_t block,
   const size_t begin = block * L;
   const size_t len = std::min<size_t>(L, n - begin);
   elems = len;
-  std::vector<T> padded(L, T{0});
-  std::copy(data.begin() + static_cast<long>(begin),
-            data.begin() + static_cast<long>(begin + len), padded.begin());
   scratch.quant.resize(L);
   scratch.mags.resize(L);
-  scratch.signs.assign(L / 8, byte_t{0});
-  quantize(std::span<const T>(padded), eb, scratch.quant);
+  scratch.signs.resize(L / 8);
+  // A tail block's padding elements are zeros, which quantize to 0.
+  const std::span<std::int32_t> quant(scratch.quant);
+  quantize(data.subspan(begin, len), eb, quant.first(len));
+  std::fill(quant.begin() + static_cast<std::ptrdiff_t>(len), quant.end(), 0);
   if (params.lorenzo) {
     if (params.lorenzo_layers == 2) {
       lorenzo2_forward(scratch.quant);

@@ -66,7 +66,7 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
   exec.run(nchunks, [&](size_t c) {
     const BlockRange r = chunk_range(nblocks, nchunks, c);
     HostScratch::Chunk& ch = scratch.chunks[c];
-    ch.payload.clear();
+    size_t used = 0;
     for (size_t b = r.begin; b < r.end; ++b) {
       size_t lane_elems = 0;
       const std::uint8_t lb =
@@ -75,12 +75,14 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
       const size_t cl = encoded_block_bytes(lb, L, params);
       if (cl == 0) continue;
       const hostprof::ScopedTimer bb(hostprof::Bucket::kBB);
-      const size_t at = ch.payload.size();
-      ch.payload.resize(at + cl, byte_t{0});
+      // The arena only grows: write_block_payload fills every byte, so
+      // bytes left from an earlier call are overwritten, not re-zeroed.
+      if (ch.payload.size() < used + cl) ch.payload.resize(used + cl);
       write_block_payload(ch.block, lb, L, params.bit_shuffle,
-                          std::span(ch.payload).subspan(at, cl));
+                          std::span(ch.payload).subspan(used, cl));
+      used += cl;
     }
-    scratch.chunk_bytes[c] = ch.payload.size();
+    scratch.chunk_bytes[c] = used;
   });
 
   // Global synchronization: exclusive prefix sum over the chunk totals
@@ -102,11 +104,10 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
   // offset — consecutive blocks are consecutive in the stream, so one
   // memcpy per chunk.
   exec.run(nchunks, [&](size_t c) {
-    const auto& payload = scratch.chunks[c].payload;
-    if (payload.empty()) return;
+    if (scratch.chunk_bytes[c] == 0) return;
     const hostprof::ScopedTimer bb(hostprof::Bucket::kBB);
-    std::memcpy(out.data() + base + scratch.chunk_offset[c], payload.data(),
-                payload.size());
+    std::memcpy(out.data() + base + scratch.chunk_offset[c],
+                scratch.chunks[c].payload.data(), scratch.chunk_bytes[c]);
   });
 
   if (h.checksummed()) {

@@ -46,7 +46,8 @@ struct HostScratch {
   /// payload arena that pass 1 fills and pass 2 scatters with one memcpy.
   struct Chunk {
     BlockScratch block;
-    std::vector<byte_t> payload;
+    std::vector<byte_t> payload;  // grow-only; the call's bytes are the
+                                  // first chunk_bytes[c]
   };
 
   std::vector<Chunk> chunks;

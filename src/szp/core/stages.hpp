@@ -13,10 +13,12 @@ namespace szp::core {
 
 // ---------------------------------------------------------------- QP ----
 
-/// Pre-quantization (the only lossy step, §4.1): r_i = round(d_i / (2*eb)).
-/// Throws if a quantized magnitude cannot be represented (eb too small for
-/// the data's magnitude). `out.size() == in.size()`. f32 and f64 data are
-/// both supported (the quantization integers are int32 either way).
+/// Pre-quantization (the only lossy step, §4.1): r_i = round(d_i / (2*eb)),
+/// rounding half away from zero as std::llround does. Throws if a
+/// quantized magnitude cannot be represented (eb too small for the data's
+/// magnitude, or a NaN/Inf element). `out.size() == in.size()`. f32 and
+/// f64 data are both supported (the quantization integers are int32
+/// either way).
 void quantize(std::span<const float> in, double eb_abs,
               std::span<std::int32_t> out);
 void quantize(std::span<const double> in, double eb_abs,
@@ -62,7 +64,8 @@ void apply_signs(std::span<const std::uint32_t> magnitudes,
 
 /// Block bit-shuffle (§4.4): write F bit planes of `magnitudes` into
 /// `out` (F * L/8 bytes). Plane k occupies L/8 bytes; byte j, bit e holds
-/// bit k of element 8j+e.
+/// bit k of element 8j+e. F <= 32 in all four BB functions; decoders
+/// reject a larger F read from a stream before calling them.
 void bit_shuffle(std::span<const std::uint32_t> magnitudes, unsigned f,
                  std::span<byte_t> out);
 

@@ -1,6 +1,12 @@
 #include "szp/util/crc32c.hpp"
 
 #include <array>
+#include <bit>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace szp {
 
@@ -29,7 +35,8 @@ constexpr std::array<std::array<std::uint32_t, 256>, 4> make_tables() {
 
 constexpr auto kTables = make_tables();
 
-std::uint32_t advance(std::uint32_t state, std::span<const byte_t> data) {
+std::uint32_t advance_portable(std::uint32_t state,
+                               std::span<const byte_t> data) {
   size_t i = 0;
   for (; i + 4 <= data.size(); i += 4) {
     state ^= static_cast<std::uint32_t>(data[i]) |
@@ -45,11 +52,51 @@ std::uint32_t advance(std::uint32_t state, std::span<const byte_t> data) {
   return state;
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same reflected CRC32C update
+// as the tables, 8 bytes per step.
+static_assert(std::endian::native == std::endian::little,
+              "crc32 words are loaded in native byte order");
+
+__attribute__((target("sse4.2"))) std::uint32_t advance_sse42(
+    std::uint32_t state, std::span<const byte_t> data) {
+  std::uint64_t crc = state;
+  size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, data.data() + i, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto s = static_cast<std::uint32_t>(crc);
+  for (; i < data.size(); ++i) s = _mm_crc32_u8(s, data[i]);
+  return s;
+}
+#endif
+
+std::uint32_t advance(std::uint32_t state, std::span<const byte_t> data) {
+#if defined(__x86_64__)
+  static const bool kHardware = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  if (kHardware) return advance_sse42(state, data);
+#endif
+  return advance_portable(state, data);
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const byte_t> data) {
   return advance(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
+
+namespace detail {
+
+std::uint32_t crc32c_portable(std::span<const byte_t> data) {
+  return advance_portable(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+}  // namespace detail
 
 void Crc32c::update(std::span<const byte_t> data) {
   state_ = advance(state_, data);

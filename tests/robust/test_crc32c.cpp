@@ -71,4 +71,39 @@ TEST(Crc32c, EveryBitFlipChangesTheChecksum) {
   }
 }
 
+TEST(Crc32c, DispatchedPathMatchesPortableAtEveryLengthAndOffset) {
+  // On SSE4.2 machines crc32c() runs the crc32 instruction; it must agree
+  // with the table code at every alignment and every 8-byte tail length.
+  szp::Rng rng(0xC0FFEEULL);
+  std::vector<byte_t> data(1024 + 8);
+  for (auto& b : data) b = static_cast<byte_t>(rng.next_u64());
+  const std::span<const byte_t> all(data);
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const auto s = all.subspan(off, len);
+      ASSERT_EQ(szp::crc32c(s), szp::detail::crc32c_portable(s))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, StreamingMatchesPortableAtEverySplitPoint) {
+  szp::Rng rng(0xFEEDULL);
+  std::vector<byte_t> data(1024);
+  for (auto& b : data) b = static_cast<byte_t>(rng.next_u64());
+  const std::span<const byte_t> all(data);
+  const std::uint32_t expect = szp::detail::crc32c_portable(all);
+  EXPECT_EQ(szp::crc32c(all), expect);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    szp::Crc32c acc;
+    acc.update(all.first(split));
+    acc.update(all.subspan(split));
+    ASSERT_EQ(acc.value(), expect) << "split " << split;
+  }
+}
+
+TEST(Crc32c, PortableKnownVector) {
+  EXPECT_EQ(szp::detail::crc32c_portable(bytes_of("123456789")), 0xE3069283u);
+}
+
 }  // namespace

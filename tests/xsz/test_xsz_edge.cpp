@@ -78,6 +78,28 @@ TEST(XszEdge, CorruptedMetaDoesNotCrash) {
   }
 }
 
+TEST(XszEdge, FixedLengthAbove32IsRejected) {
+  const auto field = data::make_field(data::Suite::kHurricane, 0, 0.02);
+  xsz::Params p;
+  const auto stream =
+      xsz::compress_serial(field.values, p, field.value_range());
+  gpusim::Device dev;
+  gpusim::DeviceBuffer<float> d_out(dev, field.count());
+  const size_t last = div_ceil(field.count(), size_t{p.block_len}) - 1;
+  for (const unsigned meta : {33u, 63u, 64u, 100u, 127u}) {
+    // The last block's payload is followed by enough bytes for any width,
+    // so only the width check can reject it.
+    auto bad = stream;
+    bad[xsz::Header::kSize + last] = static_cast<byte_t>(meta);
+    bad.resize(bad.size() + 128 * size_t{p.block_len} / 8, byte_t{0});
+    EXPECT_THROW((void)xsz::decompress_serial(bad), format_error) << meta;
+    auto d_cmp = gpusim::to_device<byte_t>(dev, bad);
+    EXPECT_THROW((void)xsz::decompress_device(dev, d_cmp, d_out),
+                 format_error)
+        << meta;
+  }
+}
+
 TEST(XszEdge, SmallerBlocksTrackDataBetter) {
   // Smaller xsz blocks flush less aggressively -> lower CR, higher PSNR
   // on smooth-but-not-constant data.
