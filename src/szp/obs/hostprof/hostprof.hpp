@@ -6,7 +6,7 @@
 // regression lives (4 threads slower than serial). Activation mirrors the
 // kernel profiler:
 //   * `SZP_HOSTPROF=1` (or `on`) — collect in memory; callers snapshot
-//     explicitly (szp_cli, bench_pr7_hostscale).
+//     explicitly (szp_cli, tests).
 //   * `SZP_HOSTPROF=<path>` — additionally write the JSON report there at
 //     process exit.
 //   * explicit Profiler::instance().set_enabled(true) — tests/benches.

@@ -3,6 +3,8 @@
 // and error handling on damaged/missing directories.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -164,6 +166,25 @@ TEST(ArchiveV2, RangeQueryMatchesFullDecodeAndStaysLocal) {
       static_cast<double>(r.archive_bytes());
   EXPECT_LT(fraction, 0.05) << "touched " << r.io_stats().bytes_read
                             << " of " << r.archive_bytes();
+
+  // And it must answer faster than decoding the whole entry. Each side is
+  // the best of three cold readers, so one preempted rep cannot decide.
+  using Clock = std::chrono::steady_clock;
+  double full_s = 1e30;
+  double query_s = 1e30;
+  for (int rep = 0; rep < 3; ++rep) {
+    ArchiveReader full_cold(fs, "arc");
+    auto t0 = Clock::now();
+    (void)full_cold.extract(idx);
+    full_s = std::min(
+        full_s, std::chrono::duration<double>(Clock::now() - t0).count());
+    ArchiveReader query_cold(fs, "arc");
+    t0 = Clock::now();
+    (void)query_cold.extract_range(idx, begin, end);
+    query_s = std::min(
+        query_s, std::chrono::duration<double>(Clock::now() - t0).count());
+  }
+  EXPECT_LT(query_s, full_s);
 
   // Degenerate ranges and bounds.
   EXPECT_TRUE(r.extract_range(idx, 5, 5).empty());

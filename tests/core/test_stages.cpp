@@ -7,8 +7,8 @@
 #include <limits>
 #include <vector>
 
+#include "support/bitio.hpp"
 #include "szp/core/stages.hpp"
-#include "szp/util/bitio.hpp"
 #include "szp/util/rng.hpp"
 
 namespace szp::core {

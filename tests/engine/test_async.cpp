@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "szp/core/serial.hpp"
@@ -105,15 +106,14 @@ TEST(AsyncBatch, DecompressRoundtripsWithinBound) {
 }
 
 TEST(AsyncBatch, OverlapModelShowsSavingsAndDeviceScaling) {
-  const auto fields = test_fields();
-  const auto views = views_of(fields);
   const perfmodel::CostModel model(perfmodel::a100());
 
-  auto run = [&](unsigned devices, unsigned streams) {
+  auto run = [&](std::span<const std::span<const float>> views,
+                 unsigned devices) {
     Engine eng({.params = test_params(),
                 .backend = BackendKind::kDevice,
                 .devices = devices,
-                .streams = streams});
+                .streams = 2});
     auto* devb = eng.device_backend();
     devb->set_timeline_enabled(true);
     (void)eng.compress_batch(views);
@@ -128,21 +128,38 @@ TEST(AsyncBatch, OverlapModelShowsSavingsAndDeviceScaling) {
     return perfmodel::combine_devices(reps);
   };
 
-  // Two streams on one device: transfers hide behind kernels, so the
-  // overlapped makespan is strictly below the serialized wall.
-  const auto one_dev = run(1, 2);
-  EXPECT_EQ(one_dev.ops, fields.size() * 3);  // h2d + kernel + d2h each
-  EXPECT_GT(one_dev.serialized_s, 0.0);
-  EXPECT_GT(one_dev.overlapped_s, 0.0);
-  EXPECT_LT(one_dev.overlapped_s, one_dev.serialized_s);
-  EXPECT_GT(one_dev.overlap_fraction(), 0.0);
-  EXPECT_LT(one_dev.overlap_fraction(), 1.0);
-  EXPECT_FALSE(one_dev.lanes.empty());
+  // The mixed test batch, and six HACC fields at field scale 0.6 (14.4 MB).
+  std::vector<data::Field> hacc;
+  for (size_t f = 0; f < 6; ++f) {
+    hacc.push_back(data::make_field(data::Suite::kHacc, f, 0.6));
+  }
+  for (const auto& fields : {test_fields(), hacc}) {
+    const auto views = views_of(fields);
+    // Two streams per device: transfers hide behind kernels, so the
+    // overlapped makespan is strictly below the serialized wall. The six
+    // fields fill both stream lanes of each device until there are more
+    // devices than field pairs, then take one lane each.
+    std::vector<perfmodel::OverlapReport> by_devices;
+    for (const auto& [devices, lanes] :
+         {std::pair{1u, 2u}, std::pair{2u, 4u}, std::pair{4u, 6u}}) {
+      SCOPED_TRACE(devices);
+      const auto rep = run(views, devices);
+      EXPECT_EQ(rep.ops, fields.size() * 3);  // h2d + kernel + d2h each
+      EXPECT_EQ(rep.lanes.size(), lanes);
+      EXPECT_GT(rep.serialized_s, 0.0);
+      EXPECT_GT(rep.overlapped_s, 0.0);
+      EXPECT_LT(rep.overlapped_s, rep.serialized_s);
+      EXPECT_GT(rep.overlap_fraction(), 0.0);
+      EXPECT_LT(rep.overlap_fraction(), 1.0);
+      by_devices.push_back(rep);
+    }
 
-  // Two devices: the serialized wall is the same work, but the modeled
-  // makespan splits across devices — the paper-style multi-GPU scaling.
-  const auto two_dev = run(2, 2);
-  EXPECT_GE(two_dev.serialized_s / two_dev.overlapped_s, 1.5);
+    // More devices: the serialized wall is the same work, but the modeled
+    // makespan splits across devices — the paper-style multi-GPU scaling.
+    EXPECT_GE(by_devices[1].serialized_s / by_devices[1].overlapped_s, 1.5);
+    EXPECT_GE(by_devices[0].overlapped_s / by_devices[1].overlapped_s, 1.5);
+    EXPECT_LE(by_devices[2].overlapped_s, by_devices[1].overlapped_s);
+  }
 }
 
 TEST(AsyncBatch, SingleDeviceSingleStreamTakesSerialPath) {

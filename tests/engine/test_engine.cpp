@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <iterator>
 #include <thread>
 
 #include "szp/core/serial.hpp"
 #include "szp/data/registry.hpp"
 #include "szp/engine/engine.hpp"
 #include "szp/gpusim/pool.hpp"
+#include "szp/perfmodel/cost.hpp"
+#include "szp/perfmodel/hardware.hpp"
 
 namespace szp::engine {
 namespace {
@@ -117,6 +121,65 @@ TEST(BackendEquivalence, OutlierAndLorenzo2Configs) {
         {.params = p, .backend = BackendKind::kParallelHost, .threads = 4});
     EXPECT_EQ(par.compress(field.values, range).bytes, ref);
     EXPECT_EQ(par.decompress(ref), core::decompress_serial(ref));
+  }
+}
+
+// ------------------------------------------------ pinned stream sizes ----
+
+// Field 0 of every suite at scale 0.1, REL 1e-3: the exact stream size
+// and the ratio printed to 6 significant digits, as the backend comparison
+// runs have recorded them since format v2. A codec change that moves one
+// byte of any suite's stream fails here.
+struct PinnedStream {
+  const char* suite;
+  const char* field;
+  size_t elements;
+  size_t stream_bytes;
+  const char* ratio;
+};
+
+constexpr PinnedStream kPinnedStreams[] = {
+    {"Hurricane", "U", 40368, 22814, "7.07776"},
+    {"NYX", "temperature", 50653, 37003, "5.47556"},
+    {"QMCPack", "einspline_orbital_0", 85698, 38455, "8.91411"},
+    {"RTM", "snapshot_t300", 75712, 14058, "21.5428"},
+    {"HACC", "vx", 100000, 94453, "4.23491"},
+    {"CESM-ATM", "CLDHGH", 40470, 7545, "21.4553"},
+};
+
+TEST(PinnedStreams, EverySuiteKeepsItsExactSizeOnEveryBackend) {
+  const core::Params p = rel_params();
+  Engine serial({.params = p, .backend = BackendKind::kSerial});
+  Engine parallel(
+      {.params = p, .backend = BackendKind::kParallelHost, .threads = 4});
+  Engine device({.params = p, .backend = BackendKind::kDevice});
+  const perfmodel::CostModel model(perfmodel::a100());
+
+  const auto& suites = data::all_suites();
+  ASSERT_EQ(suites.size(), std::size(kPinnedStreams));
+  for (size_t s = 0; s < suites.size(); ++s) {
+    const PinnedStream& pin = kPinnedStreams[s];
+    SCOPED_TRACE(pin.suite);
+    EXPECT_EQ(suites[s].name, pin.suite);
+    const auto field = data::make_field(suites[s].id, 0, 0.1);
+    EXPECT_EQ(field.name, pin.field);
+    EXPECT_EQ(field.count(), pin.elements);
+    EXPECT_EQ(field.size_bytes(), pin.elements * sizeof(float));
+
+    const double range = field.value_range();
+    const auto ref = serial.compress(field.values, range);
+    EXPECT_EQ(ref.bytes.size(), pin.stream_bytes);
+    EXPECT_EQ(parallel.compress(field.values, range).bytes, ref.bytes);
+    const auto dev = device.compress(field.values, range);
+    EXPECT_EQ(dev.bytes, ref.bytes);
+
+    const double ratio = static_cast<double>(field.size_bytes()) /
+                         static_cast<double>(ref.bytes.size());
+    EXPECT_GT(ratio, 1.0);
+    char six_digits[32];
+    std::snprintf(six_digits, sizeof six_digits, "%g", ratio);
+    EXPECT_STREQ(six_digits, pin.ratio);
+    EXPECT_GT(model.end_to_end_gbps(dev.trace, field.size_bytes()), 0.0);
   }
 }
 

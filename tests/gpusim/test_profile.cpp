@@ -4,6 +4,7 @@
 // with the sanitizer (profile counters identical with every checker on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <span>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "szp/core/compressor.hpp"
+#include "szp/data/registry.hpp"
 #include "szp/gpusim/buffer.hpp"
 #include "szp/gpusim/launch.hpp"
 #include "szp/gpusim/profile/report.hpp"
@@ -34,16 +36,18 @@ std::vector<float> make_data(size_t n = 64 * 1024) {
   return data;
 }
 
-/// Compress + decompress the test field on `dev`; returns nothing — the
-/// caller reads the profiler.
-void run_codec(gs::Device& dev, const core::Params& params) {
-  const auto data = make_data();
+/// Compress + decompress `data` (the test field by default) on `dev`;
+/// returns nothing — the caller reads the profiler.
+void run_codec(gs::Device& dev, const core::Params& params,
+               const std::vector<float>& data = make_data(),
+               double value_range = 20.0) {
   Compressor c(params);
   auto d_in = gs::to_device<float>(dev, std::span<const float>(data));
   gs::DeviceBuffer<byte_t> d_cmp(
       dev, core::max_compressed_bytes(data.size(), params.block_len));
   gs::DeviceBuffer<float> d_out(dev, data.size());
-  const auto comp = c.compress_on_device(dev, d_in, data.size(), 20.0, d_cmp);
+  const auto comp =
+      c.compress_on_device(dev, d_in, data.size(), value_range, d_cmp);
   (void)c.decompress_on_device(dev, d_cmp, d_out, comp.bytes);
   (void)gs::to_host(dev, d_out);
 }
@@ -64,53 +68,66 @@ const prof::LaunchProfile* find_launch(const prof::SessionProfile& s,
 }
 
 TEST(Profile, DeviceCodecCountersAreNonzero) {
-  gs::Device dev(4, gs::sanitize::Tools::none(), prof::Options::on());
-  ASSERT_NE(dev.profiler(), nullptr);
-  run_codec(dev, default_params());
-  const auto session = dev.profile_snapshot();
+  // Field 0 of every suite at scale 0.1: each roundtrip's two kernels
+  // carry every stage's counters and wall time.
+  for (const auto& suite : data::all_suites()) {
+    SCOPED_TRACE(suite.name);
+    const auto field = data::make_field(suite.id, 0, 0.1);
+    gs::Device dev(4, gs::sanitize::Tools::none(), prof::Options::on());
+    ASSERT_NE(dev.profiler(), nullptr);
+    run_codec(dev, default_params(), field.values, field.value_range());
+    const auto session = dev.profile_snapshot();
 
-  ASSERT_GE(session.launches.size(), 2u);
-  for (const char* kernel : {"szp_compress", "szp_decompress"}) {
-    const auto* lp = find_launch(session, kernel);
-    ASSERT_NE(lp, nullptr) << kernel;
-    EXPECT_GT(lp->grid_blocks, 0u);
-    EXPECT_EQ(lp->blocks.executed, lp->grid_blocks);
-    EXPECT_GT(lp->wall_ns, 0u);
-    // Every paper stage must be attributed: bytes/ops and wall time.
-    for (const gs::Stage st :
-         {gs::Stage::kQuantPredict, gs::Stage::kFixedLenEncode,
-          gs::Stage::kGlobalSync, gs::Stage::kBitShuffle}) {
-      const auto& sp = lp->stages[static_cast<unsigned>(st)];
-      EXPECT_FALSE(sp.counters_empty())
-          << kernel << " stage " << gs::stage_name(st);
-      EXPECT_GT(sp.ns, 0u) << kernel << " stage " << gs::stage_name(st);
+    ASSERT_GE(session.launches.size(), 2u);
+    for (const auto& lp : session.launches) {
+      EXPECT_GT(lp.wall_ns, 0u) << lp.kernel;
+      EXPECT_TRUE(std::any_of(
+          lp.stages.begin(), lp.stages.end(),
+          [](const auto& sp) { return !sp.counters_empty() || sp.ns > 0; }))
+          << lp.kernel;
     }
-    // Warp primitives fire in QP/FE (shuffles) and the block reductions.
-    std::uint64_t warp_total = 0;
-    for (const auto c : lp->warp_ops) warp_total += c;
-    EXPECT_GT(warp_total, 0u) << kernel;
-    // cuSZp's kernels are warp-synchronous (one warp per block): any
-    // nonzero barrier count would mean an accounting bug.
-    EXPECT_EQ(lp->barriers, 0u) << kernel;
-  }
+    for (const char* kernel : {"szp_compress", "szp_decompress"}) {
+      const auto* lp = find_launch(session, kernel);
+      ASSERT_NE(lp, nullptr) << kernel;
+      EXPECT_GT(lp->grid_blocks, 0u);
+      EXPECT_EQ(lp->blocks.executed, lp->grid_blocks);
+      EXPECT_GT(lp->wall_ns, 0u);
+      // Every paper stage must be attributed: bytes/ops and wall time.
+      for (const gs::Stage st :
+           {gs::Stage::kQuantPredict, gs::Stage::kFixedLenEncode,
+            gs::Stage::kGlobalSync, gs::Stage::kBitShuffle}) {
+        const auto& sp = lp->stages[static_cast<unsigned>(st)];
+        EXPECT_FALSE(sp.counters_empty())
+            << kernel << " stage " << gs::stage_name(st);
+        EXPECT_GT(sp.ns, 0u) << kernel << " stage " << gs::stage_name(st);
+      }
+      // Warp primitives fire in QP/FE (shuffles) and the block reductions.
+      std::uint64_t warp_total = 0;
+      for (const auto c : lp->warp_ops) warp_total += c;
+      EXPECT_GT(warp_total, 0u) << kernel;
+      // cuSZp's kernels are warp-synchronous (one warp per block): any
+      // nonzero barrier count would mean an accounting bug.
+      EXPECT_EQ(lp->barriers, 0u) << kernel;
+    }
 
-  // The default chained scan publishes descriptors with release stores
-  // and walks predecessors in the compression kernel.
-  const auto* comp = find_launch(session, "szp_compress");
-  EXPECT_GT(comp->atomic_stores, 0u);
-  EXPECT_GT(comp->lookback_calls, 0u);
-  EXPECT_EQ(comp->lookback_depth.count, comp->lookback_calls);
+    // The default chained scan publishes descriptors with release stores
+    // and walks predecessors in the compression kernel.
+    const auto* comp = find_launch(session, "szp_compress");
+    EXPECT_GT(comp->atomic_stores, 0u);
+    EXPECT_GT(comp->lookback_calls, 0u);
+    EXPECT_EQ(comp->lookback_depth.count, comp->lookback_calls);
 
-  // Buffer traffic and PCIe transfers were attributed.
-  ASSERT_FALSE(session.buffers.empty());
-  std::uint64_t buf_traffic = 0;
-  for (const auto& b : session.buffers) {
-    buf_traffic += b.read_bytes + b.write_bytes;
+    // Buffer traffic and PCIe transfers were attributed.
+    ASSERT_FALSE(session.buffers.empty());
+    std::uint64_t buf_traffic = 0;
+    for (const auto& b : session.buffers) {
+      buf_traffic += b.read_bytes + b.write_bytes;
+    }
+    EXPECT_GT(buf_traffic, 0u);
+    EXPECT_GT(session.memcpy.h2d_bytes, 0u);
+    EXPECT_GT(session.memcpy.d2h_bytes, 0u);
+    EXPECT_GT(session.memcpy.h2d_count, 0u);
   }
-  EXPECT_GT(buf_traffic, 0u);
-  EXPECT_GT(session.memcpy.h2d_bytes, 0u);
-  EXPECT_GT(session.memcpy.d2h_bytes, 0u);
-  EXPECT_GT(session.memcpy.h2d_count, 0u);
 }
 
 TEST(Profile, BarriersAndWarpOpsCountedInSyntheticKernel) {

@@ -8,9 +8,9 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/mini_json.hpp"
 #include "szp/harness/runner.hpp"
 #include "szp/perfmodel/hardware.hpp"
-#include "szp/util/mini_json.hpp"
 
 namespace szp {
 namespace {
@@ -135,7 +135,7 @@ TEST_F(CliSmoke, MetricsJsonOnStdoutStaysParseableWithDiagnosticsOn) {
                          std::istreambuf_iterator<char>());
   ASSERT_FALSE(json.empty());
   // stdout is exactly one strict-JSON document.
-  EXPECT_NO_THROW((void)util::JsonParser(json).parse())
+  EXPECT_NO_THROW((void)testsupport::JsonParser(json).parse())
       << json.substr(0, 400);
 
   // The diagnostics did happen — they just went to stderr.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -143,6 +144,59 @@ TEST_F(HostprofTest, FingerprintIsRunToRunIdentical) {
         hostprof::counter_fingerprint(profiled_roundtrip(field, threads));
     EXPECT_EQ(a, b) << "threads=" << threads;
     EXPECT_NE(a.find("\"blocks_encoded\""), std::string::npos);
+  }
+}
+
+TEST_F(HostprofTest, ThreadMatrixCountersArePinned) {
+  // HACC vx at field scale 2.5 (2.5M elements), three roundtrips per pool
+  // width on a fresh pool: the executor's chunk/task/batch split and its
+  // 64-byte false-sharing boundary count are exact functions of the field
+  // and the width, and the stream is the same at every width.
+  struct Pin {
+    unsigned threads;
+    std::uint64_t chunks, tasks, batches, false_shared_boundaries;
+  };
+  constexpr Pin kPins[] = {
+      {1, 6, 12, 12, 0}, {2, 12, 24, 12, 3}, {4, 24, 48, 12, 9},
+      {8, 48, 96, 12, 21}};
+  constexpr size_t kStreamBytes = 2057825;
+
+  const data::Field field = data::make_field(data::Suite::kHacc, 0, 2.5);
+  ASSERT_EQ(field.name, "vx");
+  ASSERT_EQ(field.count(), 2'500'000u);
+  char ratio[32];
+  std::snprintf(ratio, sizeof ratio, "%g",
+                static_cast<double>(field.size_bytes()) / kStreamBytes);
+  EXPECT_STREQ(ratio, "4.8595");
+
+  const double range = field.value_range();
+  auto& prof = hostprof::Profiler::instance();
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(pin.threads);
+    prof.reset();  // drop the previous pool's dead worker lanes
+    hostprof::Snapshot snap;
+    {
+      engine::Engine eng({.params = test_params(),
+                          .backend = engine::BackendKind::kParallelHost,
+                          .threads = pin.threads});
+      for (int rep = 0; rep < 3; ++rep) {
+        const auto stream = eng.compress(field.values, range);
+        EXPECT_EQ(stream.bytes.size(), kStreamBytes);
+        EXPECT_EQ(eng.decompress(stream.bytes).size(), field.count());
+      }
+      snap = prof.snapshot();
+    }
+    EXPECT_EQ(snap.threads.size(), pin.threads);
+    EXPECT_EQ(snap.counter(hostprof::HostCounter::kChunks), pin.chunks);
+    EXPECT_EQ(snap.counter(hostprof::HostCounter::kTasks), pin.tasks);
+    EXPECT_EQ(snap.counter(hostprof::HostCounter::kBatches), pin.batches);
+    EXPECT_EQ(snap.counter(hostprof::HostCounter::kFalseSharedBoundaries),
+              pin.false_shared_boundaries);
+    if (pin.threads > 1) {
+      EXPECT_NE(hostprof::dominant_overhead(
+                    hostprof::aggregate_attribution(snap)),
+                "none");
+    }
   }
 }
 

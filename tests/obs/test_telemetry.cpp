@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "szp/engine/engine.hpp"
+#include "support/mini_json.hpp"
 #include "szp/obs/chrome_trace.hpp"
 #include "szp/obs/log.hpp"
 #include "szp/obs/metrics.hpp"
@@ -36,13 +37,12 @@
 #include "szp/obs/telemetry/telemetry.hpp"
 #include "szp/obs/trace_id.hpp"
 #include "szp/obs/tracer.hpp"
-#include "szp/util/mini_json.hpp"
 
 namespace {
 
 using namespace szp;
-using util::JsonParser;
-using util::JsonValue;
+using testsupport::JsonParser;
+using testsupport::JsonValue;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -1,14 +1,184 @@
-// Test-support alias for the library JSON parser. The parser started
-// life here; it now lives in szp/util/mini_json.hpp so tools
-// (szp_benchdiff) can use it too. Existing tests keep the
-// szp::testsupport spelling.
+// Minimal strict JSON parser for the exporter schema tests: objects,
+// arrays, strings with escapes, numbers, true/false/null. Throws
+// std::runtime_error with the byte offset on any deviation.
 #pragma once
 
-#include "szp/util/mini_json.hpp"
+#include <cctype>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace szp::testsupport {
 
-using szp::util::JsonParser;
-using szp::util::JsonValue;
+struct JsonValue {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool b = false;
+  double num = 0;
+  std::string str;
+  std::vector<JsonValue> arr;
+  std::map<std::string, JsonValue> obj;
+
+  [[nodiscard]] const JsonValue* find(const std::string& key) const {
+    const auto it = obj.find(key);
+    return it == obj.end() ? nullptr : &it->second;
+  }
+};
+
+class JsonParser {
+ public:
+  explicit JsonParser(const std::string& text) : s_(text) {}
+
+  JsonValue parse() {
+    JsonValue v = value();
+    skip_ws();
+    if (pos_ != s_.size()) fail("trailing characters");
+    return v;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& why) {
+    throw std::runtime_error("JSON error at offset " + std::to_string(pos_) +
+                             ": " + why);
+  }
+  void skip_ws() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+      ++pos_;
+    }
+  }
+  char peek() {
+    if (pos_ >= s_.size()) fail("unexpected end");
+    return s_[pos_];
+  }
+  void expect(char c) {
+    if (peek() != c) fail(std::string("expected '") + c + "'");
+    ++pos_;
+  }
+
+  JsonValue value() {
+    skip_ws();
+    switch (peek()) {
+      case '{': return object();
+      case '[': return array();
+      case '"': return string_value();
+      case 't': case 'f': return boolean();
+      case 'n': return null();
+      default: return number();
+    }
+  }
+
+  JsonValue object() {
+    JsonValue v;
+    v.kind = JsonValue::Kind::kObject;
+    expect('{');
+    skip_ws();
+    if (peek() == '}') { ++pos_; return v; }
+    while (true) {
+      skip_ws();
+      const std::string key = raw_string();
+      skip_ws();
+      expect(':');
+      v.obj[key] = value();
+      skip_ws();
+      if (peek() == ',') { ++pos_; continue; }
+      expect('}');
+      return v;
+    }
+  }
+
+  JsonValue array() {
+    JsonValue v;
+    v.kind = JsonValue::Kind::kArray;
+    expect('[');
+    skip_ws();
+    if (peek() == ']') { ++pos_; return v; }
+    while (true) {
+      v.arr.push_back(value());
+      skip_ws();
+      if (peek() == ',') { ++pos_; continue; }
+      expect(']');
+      return v;
+    }
+  }
+
+  std::string raw_string() {
+    expect('"');
+    std::string out;
+    while (true) {
+      if (pos_ >= s_.size()) fail("unterminated string");
+      const char c = s_[pos_++];
+      if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character");
+      if (c != '\\') { out.push_back(c); continue; }
+      if (pos_ >= s_.size()) fail("unterminated escape");
+      const char e = s_[pos_++];
+      switch (e) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': {
+          if (pos_ + 4 > s_.size()) fail("short \\u escape");
+          for (int i = 0; i < 4; ++i) {
+            if (!std::isxdigit(static_cast<unsigned char>(
+                    s_[pos_ + static_cast<std::size_t>(i)]))) {
+              fail("bad \\u escape");
+            }
+          }
+          pos_ += 4;
+          out.push_back('?');  // codepoint identity is irrelevant here
+          break;
+        }
+        default: fail("bad escape");
+      }
+    }
+  }
+
+  JsonValue string_value() {
+    JsonValue v;
+    v.kind = JsonValue::Kind::kString;
+    v.str = raw_string();
+    return v;
+  }
+
+  JsonValue boolean() {
+    JsonValue v;
+    v.kind = JsonValue::Kind::kBool;
+    if (s_.compare(pos_, 4, "true") == 0) { v.b = true; pos_ += 4; return v; }
+    if (s_.compare(pos_, 5, "false") == 0) { v.b = false; pos_ += 5; return v; }
+    fail("bad literal");
+  }
+
+  JsonValue null() {
+    if (s_.compare(pos_, 4, "null") != 0) fail("bad literal");
+    pos_ += 4;
+    return JsonValue{};
+  }
+
+  JsonValue number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    while (pos_ < s_.size() &&
+           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
+            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
+            s_[pos_] == '+' || s_[pos_] == '-')) {
+      ++pos_;
+    }
+    if (pos_ == start) fail("bad number");
+    JsonValue v;
+    v.kind = JsonValue::Kind::kNumber;
+    v.num = std::stod(s_.substr(start, pos_ - start));
+    return v;
+  }
+
+  const std::string& s_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace szp::testsupport

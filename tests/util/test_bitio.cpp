@@ -1,7 +1,7 @@
 // BitWriter/BitReader: roundtrips at every width, alignment, error paths.
 #include <gtest/gtest.h>
 
-#include "szp/util/bitio.hpp"
+#include "support/bitio.hpp"
 #include "szp/util/rng.hpp"
 
 namespace szp {
