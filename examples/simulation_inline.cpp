@@ -41,7 +41,7 @@ int main() {
 
     // Decompress to validate the bound (a consumer would do this later).
     gpusim::DeviceBuffer<float> d_recon(dev, snapshot.count());
-    (void)compressor.decompress_on_device(dev, d_cmp, d_recon);
+    (void)compressor.decompress_on_device(dev, d_cmp, d_recon, res.bytes);
     const auto recon = gpusim::to_host(dev, d_recon);
     const auto stats = metrics::compare(snapshot.values, recon);
 

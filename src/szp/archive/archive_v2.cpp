@@ -1,11 +1,9 @@
 #include "szp/archive/archive_v2.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "szp/archive/layout.hpp"
-#include "szp/core/block_codec.hpp"
 #include "szp/core/random_access.hpp"
 #include "szp/engine/thread_pool.hpp"
 #include "szp/robust/try_decode.hpp"
@@ -279,73 +277,20 @@ std::vector<float> ArchiveReader::extract_range(size_t i, size_t begin,
   }
   const std::string path = shard_path_of(e);
   const std::uint64_t base = layout::kShardHeaderBytes + e.offset;
-  const size_t stream_bytes = checked_cast<size_t>(e.stream_bytes);
-  if (stream_bytes < core::Header::kSize) {
-    throw format_error("archive: entry '" + e.name + "' stream truncated");
+  // The range decoder seeks through the stream with one read per fetch:
+  // header, footer, then the covering groups' length bytes and payload.
+  // Each fetched buffer lives in `held` until the decode returns.
+  std::vector<std::vector<byte_t>> held;
+  const core::StreamFetch fetch = [&](size_t off, size_t len) {
+    held.push_back(read_exact(path, base + off, len));
+    return std::span<const byte_t>(held.back());
+  };
+  try {
+    return core::decompress_range(
+        fetch, checked_cast<size_t>(e.stream_bytes), begin, end);
+  } catch (const format_error& ex) {
+    throw format_error("archive: entry '" + e.name + "': " + ex.what());
   }
-
-  const auto header_bytes = read_exact(path, base, core::Header::kSize);
-  const core::Header h = core::Header::deserialize(header_bytes);
-  const size_t n = checked_cast<size_t>(h.num_elements);
-  if (begin > end || end > n) {
-    throw format_error("archive: range out of bounds for entry '" + e.name +
-                       "'");
-  }
-  const unsigned L = h.block_len;
-  const size_t nblocks = core::num_blocks(n, L);
-  if (stream_bytes < core::payload_offset(nblocks)) {
-    throw format_error("archive: entry '" + e.name + "' stream truncated");
-  }
-  const auto lengths =
-      read_exact(path, base + core::lengths_offset(), nblocks);
-
-  // Blocks the range touches, widened to whole checksum groups so the
-  // sparse stream still carries everything decompress_range verifies.
-  const size_t first_block = begin == end ? 0 : begin / L;
-  const size_t last_block = begin == end ? 0 : div_ceil(end, size_t{L});
-  size_t cover_first = first_block;
-  size_t cover_last = last_block;
-  if (h.checksummed() && h.checksum_group_blocks > 0 && last_block > 0) {
-    const size_t gb = h.checksum_group_blocks;
-    cover_first = (first_block / gb) * gb;
-    cover_last = std::min(nblocks, div_ceil(last_block, gb) * gb);
-  }
-
-  // Payload before, inside and after the covered span; their sum locates
-  // the footer.
-  const std::string who = "archive: entry '" + e.name + "'";
-  const size_t skip_bytes =
-      core::scan_lengths(lengths, h, 0, cover_first).checked(who);
-  const size_t cover_bytes =
-      core::scan_lengths(lengths, h, cover_first, cover_last).checked(who);
-  const size_t payload_base = core::payload_offset(nblocks);
-  const size_t footer_off =
-      payload_base + skip_bytes + cover_bytes +
-      core::scan_lengths(lengths, h, cover_last, nblocks).checked(who);
-  if (footer_off > stream_bytes) {
-    throw format_error("archive: entry '" + e.name + "' stream truncated");
-  }
-
-  // Assemble a sparse stream: real header, length bytes, covered payload
-  // and footer; everything else zero-filled (never dereferenced, because
-  // decompress_range only reads the requested blocks and only checks the
-  // covering groups' CRCs).
-  std::vector<byte_t> sparse(stream_bytes, byte_t{0});
-  std::memcpy(sparse.data(), header_bytes.data(), header_bytes.size());
-  std::memcpy(sparse.data() + core::lengths_offset(), lengths.data(),
-              lengths.size());
-  if (cover_bytes > 0) {
-    const auto payload =
-        read_exact(path, base + payload_base + skip_bytes, cover_bytes);
-    std::memcpy(sparse.data() + payload_base + skip_bytes, payload.data(),
-                payload.size());
-  }
-  if (h.checksummed() && footer_off < stream_bytes) {
-    const auto footer =
-        read_exact(path, base + footer_off, stream_bytes - footer_off);
-    std::memcpy(sparse.data() + footer_off, footer.data(), footer.size());
-  }
-  return core::decompress_range(sparse, begin, end);
 }
 
 robust::DecodeReport ArchiveReader::try_extract(

@@ -223,12 +223,15 @@ void reconstruct_block(const Header& h, std::span<std::int32_t> quant,
 }
 
 template <typename T>
-void decode_blocks(std::span<const byte_t> stream, const Header& h,
-                   size_t first, size_t last, size_t payload, size_t window,
+void decode_blocks(const Header& h, size_t first,
+                   std::span<const byte_t> lengths,
+                   std::span<const byte_t> payload, size_t window,
                    std::span<T> out, BlockScratch& scratch) {
   const unsigned L = h.block_len;
-  for (size_t b = first; b < last; ++b) {
-    const std::uint8_t lb = stream[lengths_offset() + b];
+  size_t pos = 0;
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    const size_t b = first + i;
+    const std::uint8_t lb = lengths[i];
     const size_t cl = block_payload_bytes(lb, L, h.zero_block_bypass());
     const size_t lo = std::max(b * L, window);
     const size_t hi = std::min({b * L + L, window + out.size(),
@@ -241,12 +244,12 @@ void decode_blocks(std::span<const byte_t> stream, const Header& h,
     // BB covers undoing the payload packing; QP covers the prediction
     // inverse and dequantize, the mirror of the compress-side split.
     obs::hostprof::SplitTimer stage(obs::hostprof::Bucket::kBB);
-    read_block_payload(stream.subspan(payload, cl), lb, L, h.bit_shuffle(),
+    read_block_payload(payload.subspan(pos, cl), lb, L, h.bit_shuffle(),
                        scratch);
     stage.split(obs::hostprof::Bucket::kQP);
     reconstruct_block(h, std::span<std::int32_t>(scratch.quant), lo - b * L,
                       dst);
-    payload += cl;
+    pos += cl;
   }
 }
 
@@ -255,11 +258,13 @@ template void reconstruct_block<float>(const Header&, std::span<std::int32_t>,
 template void reconstruct_block<double>(const Header&,
                                         std::span<std::int32_t>, size_t,
                                         std::span<double>);
-template void decode_blocks<float>(std::span<const byte_t>, const Header&,
-                                   size_t, size_t, size_t, size_t,
+template void decode_blocks<float>(const Header&, size_t,
+                                   std::span<const byte_t>,
+                                   std::span<const byte_t>, size_t,
                                    std::span<float>, BlockScratch&);
-template void decode_blocks<double>(std::span<const byte_t>, const Header&,
-                                    size_t, size_t, size_t, size_t,
+template void decode_blocks<double>(const Header&, size_t,
+                                    std::span<const byte_t>,
+                                    std::span<const byte_t>, size_t,
                                     std::span<double>, BlockScratch&);
 
 }  // namespace szp::core

@@ -113,13 +113,15 @@ template <typename T>
 void reconstruct_block(const Header& h, std::span<std::int32_t> quant,
                        size_t skip, std::span<T> out);
 
-/// Decode blocks [first, last), whose payloads start at stream offset
-/// `payload` and whose length bytes a scan has already validated. Only
-/// elements inside the window [window, window + out.size()) are written,
-/// to out[element - window]; zero blocks write zeros.
+/// Decode the blocks [first, first + lengths.size()) whose length bytes
+/// are `lengths` (already validated by a scan) and whose payloads start at
+/// payload[0]. Only elements inside the window [window, window +
+/// out.size()) are written, to out[element - window]; zero blocks write
+/// zeros.
 template <typename T>
-void decode_blocks(std::span<const byte_t> stream, const Header& h,
-                   size_t first, size_t last, size_t payload, size_t window,
+void decode_blocks(const Header& h, size_t first,
+                   std::span<const byte_t> lengths,
+                   std::span<const byte_t> payload, size_t window,
                    std::span<T> out, BlockScratch& scratch);
 
 }  // namespace szp::core

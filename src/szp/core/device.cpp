@@ -92,7 +92,8 @@ class GroupChecksumState {
                            span.last_block - span.first_block);
       (void)view.load_span(span.payload_begin,
                            span.payload_end - span.payload_begin);
-      crcs_[g] = checksum_group_crc(stream, span);
+      crcs_[g] = checksum_group_crc(span.lengths_in(stream),
+                                    span.payload_in(stream));
       const std::uint64_t covered = (span.last_block - span.first_block) +
                                     (span.payload_end - span.payload_begin);
       ctx.read(gs::Stage::kOther, covered);
@@ -416,7 +417,8 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
                              span.last_block - span.first_block);
           (void)sv.load_span(span.payload_begin,
                              span.payload_end - span.payload_begin);
-          footer.crcs[g] = checksum_group_crc(stream, span);
+          footer.crcs[g] = checksum_group_crc(span.lengths_in(stream),
+                                              span.payload_in(stream));
           covered += (span.last_block - span.first_block) +
                      (span.payload_end - span.payload_begin);
         }
@@ -499,6 +501,10 @@ DeviceCodecResult decompress_device_impl(gs::Device& dev,
     if (footer.group_blocks != h.checksum_group_blocks ||
         footer.crcs.size() != chk->groups()) {
       throw format_error("decompress_device: checksum group layout mismatch");
+    }
+    // A v2 stream ends at its footer, as the host decoders require.
+    if (footer_off + footer.bytes() != stream.size()) {
+      throw format_error("decompress_device: bytes after the footer");
     }
     for (size_t g = 0; g < chk->groups(); ++g) {
       if (footer.offsets[g] != chk->begin(g) - base ||

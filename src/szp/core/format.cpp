@@ -197,46 +197,12 @@ std::vector<GroupSpan> checksum_group_spans(std::span<const byte_t> stream,
   return spans;
 }
 
-std::uint32_t checksum_group_crc(std::span<const byte_t> stream,
-                                 const GroupSpan& g) {
+std::uint32_t checksum_group_crc(std::span<const byte_t> lengths,
+                                 std::span<const byte_t> payload) {
   Crc32c crc;
-  crc.update(stream.subspan(lengths_offset() + g.first_block,
-                            g.last_block - g.first_block));
-  crc.update(
-      stream.subspan(g.payload_begin, g.payload_end - g.payload_begin));
+  crc.update(lengths);
+  crc.update(payload);
   return crc.value();
-}
-
-void verify_checksums(std::span<const byte_t> stream, const Header& h,
-                      size_t first_block, size_t last_block) {
-  if (!h.checksummed()) return;
-  // One walk yields every group's extent and the footer location (a
-  // tampered length byte shifts it, which the footer magic/CRC catches).
-  const auto spans = checksum_group_spans(stream, h, h.checksum_group_blocks);
-  const size_t payload_base =
-      payload_offset(num_blocks(h.num_elements, h.block_len));
-  const size_t footer_off =
-      spans.empty() ? payload_base : spans.back().payload_end;
-  const ChecksumFooter footer =
-      ChecksumFooter::deserialize(stream.subspan(footer_off));
-  if (footer.group_blocks != h.checksum_group_blocks) {
-    throw format_error("verify_checksums: group size disagrees with header");
-  }
-  if (footer.crcs.size() != spans.size()) {
-    throw format_error("verify_checksums: group count mismatch");
-  }
-  for (size_t g = 0; g < spans.size(); ++g) {
-    if (spans[g].last_block <= first_block || spans[g].first_block >= last_block) {
-      continue;  // outside the requested block range
-    }
-    if (footer.offsets[g] != spans[g].payload_begin - payload_base) {
-      throw format_error("verify_checksums: group offset mismatch");
-    }
-    if (footer.crcs[g] != checksum_group_crc(stream, spans[g])) {
-      throw format_error("verify_checksums: checksum mismatch in group " +
-                         std::to_string(g));
-    }
-  }
 }
 
 StreamStats inspect_stream(std::span<const byte_t> stream) {

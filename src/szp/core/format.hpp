@@ -12,8 +12,10 @@
 // Payload offsets are not stored: both directions recompute them with the
 // same prefix sum over CmpL_k = (F_k + 1) * L / 8 (Eq. 2), exactly as the
 // paper's Global Synchronization does. The footer additionally records
-// each checksum group's payload start so a decoder can re-align after a
-// corrupt group instead of losing everything downstream.
+// each checksum group's payload start, so a range decoder can seek to the
+// groups it needs and a salvage decoder can re-align after a corrupt
+// group instead of losing everything downstream. A v2 stream ends at its
+// footer.
 //
 // v1 streams (no header CRC, no footer) decode unchanged.
 #pragma once
@@ -167,6 +169,17 @@ struct ChecksumFooter {
 struct GroupSpan {
   size_t first_block = 0, last_block = 0;      // block indices [first, last)
   size_t payload_begin = 0, payload_end = 0;   // absolute stream offsets
+
+  /// The group's length bytes and its payload bytes within `stream`.
+  [[nodiscard]] std::span<const byte_t> lengths_in(
+      std::span<const byte_t> stream) const {
+    return stream.subspan(lengths_offset() + first_block,
+                          last_block - first_block);
+  }
+  [[nodiscard]] std::span<const byte_t> payload_in(
+      std::span<const byte_t> stream) const {
+    return stream.subspan(payload_begin, payload_end - payload_begin);
+  }
 };
 
 /// Partition a stream's blocks into checksum groups, validating every
@@ -176,16 +189,8 @@ struct GroupSpan {
     std::span<const byte_t> stream, const Header& h, unsigned group_blocks);
 
 /// CRC32C of one group: its length bytes followed by its payload bytes.
-[[nodiscard]] std::uint32_t checksum_group_crc(std::span<const byte_t> stream,
-                                               const GroupSpan& g);
-
-/// Verify a v2 stream's checksum footer (header must already be parsed):
-/// footer location and self-CRC, group bookkeeping consistency, and the
-/// CRCs of every group intersecting blocks [first_block, last_block).
-/// Throws format_error on any mismatch; no-op for v1 headers.
-void verify_checksums(std::span<const byte_t> stream, const Header& h,
-                      size_t first_block = 0,
-                      size_t last_block = static_cast<size_t>(-1));
+[[nodiscard]] std::uint32_t checksum_group_crc(std::span<const byte_t> lengths,
+                                               std::span<const byte_t> payload);
 
 /// Summary of a compressed stream, for tests and benches.
 struct StreamStats {

@@ -123,7 +123,8 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
       const BlockRange r = chunk_range(spans.size(), gchunks, c);
       for (size_t g = r.begin; g < r.end; ++g) {
         footer.offsets[g] = spans[g].payload_begin - base;
-        footer.crcs[g] = checksum_group_crc(out, spans[g]);
+        footer.crcs[g] = checksum_group_crc(spans[g].lengths_in(out),
+                                            spans[g].payload_in(out));
       }
     });
     footer.serialize(std::span(out).subspan(base + total_payload,
@@ -159,10 +160,42 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
   return out;
 }
 
+/// Bounds-checked reads of a stream through a StreamFetch, counting the
+/// bytes fetched.
+class StreamSource {
+ public:
+  StreamSource(const StreamFetch& fetch, size_t size)
+      : fetch_(fetch), size_(size) {}
+
+  [[nodiscard]] size_t size() const { return size_; }
+  [[nodiscard]] std::uint64_t fetched() const { return fetched_; }
+
+  /// Bytes [off, off + len); format_error if they run past the stream.
+  std::span<const byte_t> read(size_t off, size_t len) {
+    if (off > size_ || len > size_ - off) {
+      throw format_error("decompress: stream truncated");
+    }
+    if (len == 0) return {};
+    const std::span<const byte_t> got = fetch_(off, len);
+    if (got.size() != len) throw format_error("decompress: short read");
+    fetched_ += len;
+    return got;
+  }
+
+ private:
+  const StreamFetch& fetch_;
+  size_t size_;
+  std::uint64_t fetched_ = 0;
+};
+
+StreamFetch in_memory(std::span<const byte_t> stream) {
+  return [stream](size_t off, size_t len) { return stream.subspan(off, len); };
+}
+
 /// Parse a stream header for a decoder of element type T.
 template <typename T>
-Header parse_header(std::span<const byte_t> stream) {
-  const Header h = Header::deserialize(stream);
+Header parse_header(StreamSource& src) {
+  const Header h = Header::deserialize(src.read(0, Header::kSize));
   if (h.is_f64() != std::is_same_v<T, double>) {
     throw format_error("decompress: stream data type mismatch (f32 vs f64)");
   }
@@ -178,58 +211,157 @@ BlockRange covered_blocks(const Header& h, size_t begin, size_t end) {
   return {first, begin == end ? first : div_ceil(end, size_t{h.block_len})};
 }
 
-/// The decoder's global synchronization: one validated walk of the length
-/// bytes up to `r.end`, recording where each of `nchunks` chunks of the
-/// range starts its payload (starts[nchunks] = end of the range's
-/// payload); then v2 streams CRC-check the groups covering the range.
-void locate_chunks(std::span<const byte_t> stream, const Header& h,
-                   BlockRange r, size_t nchunks,
-                   std::vector<std::uint64_t>& starts) {
-  {
-    const hostprof::ScopedTimer gs(hostprof::Bucket::kGS);
-    const auto lengths = length_bytes(stream, h);
-    starts.resize(nchunks + 1);
-    size_t off = payload_offset(lengths.size());
-    for (size_t c = 0, from = 0; c <= nchunks; ++c) {
-      const size_t to =
-          c < nchunks ? r.begin + chunk_range(r.end - r.begin, nchunks, c).begin
-                      : r.end;
-      off += scan_lengths(lengths, h, from, to, stream.size() - off)
-                 .checked("decompress");
-      starts[c] = off;
-      from = to;
+/// The fetched, verified bytes behind a block range.
+struct Located {
+  size_t first = 0;                  // block of lengths[0]
+  std::span<const byte_t> lengths;   // length bytes of blocks [first, ...)
+  size_t payload_at = 0;             // payload-area offset of payload[0]
+  std::span<const byte_t> payload;
+  std::vector<std::uint64_t> starts;  // payload-area offset where each
+                                      // chunk starts; [nchunks] = range end
+};
+
+/// The decoders' global synchronization: fetch and verify what decoding
+/// blocks `r` in `nchunks` chunks needs.
+///
+/// v2 seeks. The footer is the stream's last 16 + 12*G bytes, so the
+/// header and the footer give every checksum group's payload start, and
+/// only the groups covering `r` are fetched: their length bytes, then
+/// their payload. Each covering group is checked in full before anything
+/// is decoded: a budgeted scan of its length bytes, its chain (the scan
+/// ends exactly at the next group's footer offset, or at the footer), and
+/// the CRC of the bytes the scan assigned it. A forged footer entry
+/// therefore fails a chain or CRC check.
+/// v1 has no footer: it is one group starting at the payload area,
+/// scanned from block 0 to r.end, with only the range's payload fetched.
+Located locate(StreamSource& src, const Header& h, BlockRange r,
+               size_t nchunks) {
+  const size_t nblocks = num_blocks(h.num_elements, h.block_len);
+  const size_t base = payload_offset(nblocks);
+  if (src.size() < base) {
+    throw format_error("decompress: truncated length area");
+  }
+  // Scanned blocks [first, last) in groups of `step`; payload-area offsets
+  // [p0, p1) bound their payload.
+  size_t step = r.end, first = 0, last = r.end, p0 = 0;
+  size_t p1 = src.size() - base;
+  ChecksumFooter footer;
+  if (h.checksummed()) {
+    step = h.checksum_group_blocks;
+    const size_t groups = num_checksum_groups(nblocks, step);
+    const size_t footer_bytes = ChecksumFooter::bytes_for(groups);
+    if (p1 < footer_bytes) throw format_error("decompress: truncated payload");
+    {
+      const hostprof::ScopedTimer crc(hostprof::Bucket::kChecksum);
+      footer = ChecksumFooter::deserialize(
+          src.read(src.size() - footer_bytes, footer_bytes));
+    }
+    if (footer.group_blocks != step || footer.crcs.size() != groups) {
+      throw format_error("decompress: checksum group layout mismatch");
+    }
+    // offsets[groups] is where the last group ends: at the footer.
+    footer.offsets.push_back(p1 - footer_bytes);
+    const size_t g_lo = r.begin / step;
+    const size_t g_hi = r.begin == r.end ? g_lo : div_ceil(r.end, step);
+    // An empty range covers no group and scans nothing.
+    first = g_lo < g_hi ? g_lo * step : r.begin;
+    last = g_lo < g_hi ? std::min(nblocks, g_hi * step) : r.begin;
+    p0 = footer.offsets[g_lo];
+    p1 = footer.offsets[g_hi];
+    if (footer.offsets[0] != 0 || p0 > p1 || p1 > footer.offsets.back()) {
+      throw format_error("decompress: checksum group offsets out of range");
     }
   }
-  const hostprof::ScopedTimer crc(hostprof::Bucket::kChecksum);
-  verify_checksums(stream, h, r.begin, r.end);
+
+  Located loc;
+  loc.first = first;
+  loc.lengths = src.read(lengths_offset() + first, last - first);
+  if (h.checksummed()) {
+    loc.payload_at = p0;
+    loc.payload = src.read(base + p0, p1 - p0);
+  }
+  loc.starts.resize(nchunks + 1);
+  const auto mark = [&](size_t m) {
+    return m < nchunks
+               ? r.begin + chunk_range(r.end - r.begin, nchunks, m).begin
+               : r.end;
+  };
+  size_t pos = p0;
+  size_t m = 0;
+  for (size_t gf = first; gf < last; gf += step) {
+    const size_t gl = std::min(last, gf + step);
+    const size_t at = pos;
+    hostprof::SplitTimer stage(hostprof::Bucket::kGS);
+    for (size_t b = gf; b < gl;) {
+      for (; m <= nchunks && mark(m) == b; ++m) loc.starts[m] = pos;
+      const size_t stop = m <= nchunks ? std::min(mark(m), gl) : gl;
+      pos += scan_lengths(loc.lengths, h, b - first, stop - first, p1 - pos)
+                 .checked("decompress");
+      b = stop;
+    }
+    if (!h.checksummed()) continue;
+    const size_t g = gf / step;
+    if (pos != footer.offsets[g + 1]) {
+      throw format_error("decompress: checksum group " + std::to_string(g) +
+                         " does not end at the next group's offset");
+    }
+    stage.split(hostprof::Bucket::kChecksum);
+    if (footer.crcs[g] !=
+        checksum_group_crc(loc.lengths.subspan(gf - first, gl - gf),
+                           loc.payload.subspan(at - p0, pos - at))) {
+      throw format_error("decompress: checksum mismatch in group " +
+                         std::to_string(g));
+    }
+  }
+  for (; m <= nchunks; ++m) loc.starts[m] = pos;
+  if (!h.checksummed()) {
+    loc.payload_at = loc.starts.front();
+    loc.payload = src.read(base + loc.payload_at,
+                           loc.starts.back() - loc.payload_at);
+  }
+  return loc;
 }
 
-/// The host decoder: elements [begin, end) of `stream`, one executor task
-/// per chunk of the covering blocks, written straight into the result.
+/// The host decoder: elements [begin, end), one executor task per chunk
+/// of the covering blocks, written straight into the result. Chunk c
+/// decodes with `pooled->chunks[c]`; without pooled scratch the decode is
+/// one chunk on a local lane.
 template <typename T>
-std::vector<T> decode_host(std::span<const byte_t> stream, const Header& h,
-                           size_t begin, size_t end, Executor& exec,
-                           HostScratch& scratch) {
+std::vector<T> decode_host(StreamSource& src, const Header& h, size_t begin,
+                           size_t end, Executor& exec, HostScratch* pooled) {
   const BlockRange r = covered_blocks(h, begin, end);
-  const size_t nchunks = chunk_count(r.end - r.begin, exec);
-  locate_chunks(stream, h, r, nchunks, scratch.chunk_offset);
-  if (scratch.chunks.size() < nchunks) scratch.chunks.resize(nchunks);
+  const size_t nchunks = pooled ? chunk_count(r.end - r.begin, exec) : 1;
+  const Located loc = locate(src, h, r, nchunks);
+  if (pooled && pooled->chunks.size() < nchunks) pooled->chunks.resize(nchunks);
+  BlockScratch local;
   std::vector<T> out(end - begin);
   exec.run(nchunks, [&](size_t c) {
     const BlockRange cr = chunk_range(r.end - r.begin, nchunks, c);
-    decode_blocks<T>(stream, h, r.begin + cr.begin, r.begin + cr.end,
-                     scratch.chunk_offset[c], begin, out,
-                     scratch.chunks[c].block);
+    const size_t b0 = r.begin + cr.begin;
+    decode_blocks<T>(
+        h, b0, loc.lengths.subspan(b0 - loc.first, cr.end - cr.begin),
+        loc.payload.subspan(loc.starts[c] - loc.payload_at,
+                            loc.starts[c + 1] - loc.starts[c]),
+        begin, out, pooled ? pooled->chunks[c].block : local);
   });
   if (hostprof::enabled()) {
     auto& prof = hostprof::Profiler::instance();
     prof.count(hostprof::HostCounter::kDecompressCalls);
     prof.count(hostprof::HostCounter::kBlocksDecoded, r.end - r.begin);
-    prof.count(hostprof::HostCounter::kBytesRead, stream.size());
+    prof.count(hostprof::HostCounter::kBytesRead, src.fetched());
     prof.count(hostprof::HostCounter::kBytesWritten, out.size() * sizeof(T));
     prof.count(hostprof::HostCounter::kChunks, nchunks);
   }
   return out;
+}
+
+template <typename T>
+std::vector<T> decode_all(std::span<const byte_t> stream, Executor& exec,
+                          HostScratch& scratch) {
+  const StreamFetch fetch = in_memory(stream);
+  StreamSource src(fetch, stream.size());
+  const Header h = parse_header<T>(src);
+  return decode_host<T>(src, h, 0, h.num_elements, exec, &scratch);
 }
 
 }  // namespace
@@ -265,29 +397,34 @@ std::vector<byte_t> compress_host(std::span<const double> data,
 
 std::vector<float> decompress_host(std::span<const byte_t> stream,
                                    Executor& exec, HostScratch& scratch) {
-  const Header h = parse_header<float>(stream);
-  return decode_host<float>(stream, h, 0, h.num_elements, exec, scratch);
+  return decode_all<float>(stream, exec, scratch);
 }
 
 std::vector<double> decompress_host_f64(std::span<const byte_t> stream,
                                         Executor& exec, HostScratch& scratch) {
-  const Header h = parse_header<double>(stream);
-  return decode_host<double>(stream, h, 0, h.num_elements, exec, scratch);
+  return decode_all<double>(stream, exec, scratch);
+}
+
+std::vector<float> decompress_range(const StreamFetch& fetch,
+                                    size_t stream_size, size_t begin,
+                                    size_t end) {
+  StreamSource src(fetch, stream_size);
+  const Header h = parse_header<float>(src);
+  return decode_host<float>(src, h, begin, end, serial_executor(), nullptr);
 }
 
 std::vector<float> decompress_range(std::span<const byte_t> stream,
                                     size_t begin, size_t end) {
-  HostScratch scratch;
-  return decode_host<float>(stream, parse_header<float>(stream), begin, end,
-                            serial_executor(), scratch);
+  return decompress_range(in_memory(stream), stream.size(), begin, end);
 }
 
 size_t range_payload_bytes(std::span<const byte_t> stream, size_t begin,
                            size_t end) {
-  const Header h = Header::deserialize(stream);
-  std::vector<std::uint64_t> starts;
-  locate_chunks(stream, h, covered_blocks(h, begin, end), 1, starts);
-  return starts[1] - starts[0];
+  const StreamFetch fetch = in_memory(stream);
+  StreamSource src(fetch, stream.size());
+  const Header h = Header::deserialize(src.read(0, Header::kSize));
+  const Located loc = locate(src, h, covered_blocks(h, begin, end), 1);
+  return loc.starts[1] - loc.starts[0];
 }
 
 size_t compressed_bytes_probe(std::span<const float> data,

@@ -52,8 +52,7 @@ struct HostScratch {
 
   std::vector<Chunk> chunks;
   std::vector<std::uint64_t> chunk_bytes;   // pass-1 payload total per chunk
-  std::vector<std::uint64_t> chunk_offset;  // exclusive scan of chunk_bytes;
-                                            // on decode, chunk payload starts
+  std::vector<std::uint64_t> chunk_offset;  // exclusive scan of chunk_bytes
 };
 
 /// Largest value range helper (REL-mode resolution); 0 for empty data.

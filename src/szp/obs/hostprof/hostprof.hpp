@@ -98,7 +98,7 @@ enum class HostCounter : unsigned {
   kTasks,           // chunk tasks submitted (sum of batch sizes)
   kBlocksEncoded,
   kBlocksDecoded,
-  kBytesRead,       // element bytes in (compress) + stream bytes in (decode)
+  kBytesRead,       // element bytes in (compress) + stream bytes fetched (decode)
   kBytesWritten,    // stream bytes out (compress) + element bytes out (decode)
   kChunks,          // chunk count across calls
   kFalseSharedBoundaries,  // adjacent chunks sharing a 64B output line

@@ -158,7 +158,8 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
     const core::LengthScan s =
         core::scan_lengths(lengths, h, 0, nblocks, stream.size() - base);
     if (out) {
-      core::decode_blocks<T>(stream, h, 0, s.end, base, 0, *out, scratch);
+      core::decode_blocks<T>(h, 0, lengths.first(s.end),
+                             stream.subspan(base, s.bytes), 0, *out, scratch);
     }
     if (s.end < nblocks) {
       rep.status = s.bad_byte ? Status::kBadLengthByte : Status::kTruncated;
@@ -210,9 +211,10 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
           core::scan_lengths(lengths, h, first, last, pe - pb);
       ok = s.end == last && pb + s.bytes == pe;
     }
+    const core::GroupSpan span{first, last, pb, pe};
     if (ok) {
-      const core::GroupSpan span{first, last, pb, pe};
-      ok = footer->crcs[g] == core::checksum_group_crc(stream, span);
+      ok = footer->crcs[g] == core::checksum_group_crc(span.lengths_in(stream),
+                                                       span.payload_in(stream));
     }
     if (opts.want_groups) rep.groups.push_back({g, first, last, ok});
     if (!ok) {
@@ -225,7 +227,8 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
       continue;
     }
     if (out) {
-      core::decode_blocks<T>(stream, h, first, last, pb, 0, *out, scratch);
+      core::decode_blocks<T>(h, first, span.lengths_in(stream),
+                             span.payload_in(stream), 0, *out, scratch);
     }
   }
   return finish();

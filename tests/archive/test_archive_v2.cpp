@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "support/range_reads.hpp"
 #include "szp/archive/archive_v2.hpp"
 #include "szp/archive/layout.hpp"
 #include "szp/data/registry.hpp"
@@ -154,11 +155,19 @@ TEST(ArchiveV2, RangeQueryMatchesFullDecodeAndStaysLocal) {
   const size_t n = full.values.size();
   const size_t begin = n / 3;
   const size_t end = begin + 2048;
+  const IoStats opened = r.io_stats();
   const auto range = r.extract_range(idx, begin, end);
   ASSERT_EQ(range.size(), end - begin);
   for (size_t i = 0; i < range.size(); ++i) {
     EXPECT_EQ(range[i], full.values[begin + i]) << i;
   }
+  // The query seeks: one read each for the header, the footer, and the
+  // covering checksum groups' length bytes and payload, and no more bytes
+  // than those.
+  EXPECT_LE(r.io_stats().reads - opened.reads, 4u);
+  EXPECT_LE(r.io_stats().bytes_read - opened.bytes_read,
+            testsupport::seek_read_bytes(full_reader.read_stream(idx), begin,
+                                         end));
   // The point query must touch a small fraction of the archive: the
   // acceptance bar is < 5% of total committed bytes.
   const double fraction =

@@ -1,8 +1,10 @@
 // Random-access decompression: range equality with full decompression,
-// partial-read accounting, bounds handling.
+// partial-read accounting, bounds handling, and the seek contract (a
+// range decode reads and verifies only the checksum groups covering it).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "szp/core/random_access.hpp"
 #include "szp/core/serial.hpp"
@@ -17,7 +19,8 @@ struct Fixture {
   std::vector<byte_t> stream;
   std::vector<float> full;
 
-  explicit Fixture(size_t n, double eb = 1e-3) {
+  explicit Fixture(size_t n, double eb = 1e-3,
+                   unsigned group_blocks = kChecksumGroupBlocks) {
     Rng rng(n);
     data.resize(n);
     double acc = 0;
@@ -28,6 +31,7 @@ struct Fixture {
     Params p;
     p.mode = ErrorMode::kAbs;
     p.error_bound = eb;
+    p.checksum_group_blocks = group_blocks;
     stream = compress_serial(data, p);
     full = decompress_serial(stream);
   }
@@ -115,6 +119,97 @@ TEST(RandomAccess, WorksOnSuiteFieldsWithZeroBlocks) {
   const auto part = decompress_range(stream, mid - 500, mid + 500);
   for (size_t i = 0; i < part.size(); ++i) {
     ASSERT_EQ(part[i], full[mid - 500 + i]);
+  }
+}
+
+void expect_slice(const std::vector<float>& part, const Fixture& fx,
+                  size_t begin, size_t end) {
+  ASSERT_EQ(part.size(), end - begin);
+  if (part.empty()) return;  // memcmp must not see a null pointer
+  EXPECT_EQ(std::memcmp(part.data(), fx.full.data() + begin,
+                        part.size() * sizeof(float)),
+            0)
+      << "range [" << begin << ", " << end << ")";
+}
+
+/// The footer of a v2 stream, and where it starts.
+ChecksumFooter footer_of(std::span<const byte_t> stream, size_t& footer_off) {
+  const Header h = Header::deserialize(stream);
+  const size_t groups = num_checksum_groups(
+      num_blocks(h.num_elements, h.block_len), h.checksum_group_blocks);
+  footer_off = stream.size() - ChecksumFooter::bytes_for(groups);
+  return ChecksumFooter::deserialize(stream.subspan(footer_off));
+}
+
+TEST(RandomAccess, QueryNeverReadsGroupsOutsideItsRange) {
+  // 100000 elements: 3125 blocks in 13 checksum groups of 256.
+  const Fixture fx(100000);
+  size_t footer_off = 0;
+  const ChecksumFooter footer = footer_of(fx.stream, footer_off);
+  ASSERT_EQ(footer.crcs.size(), 13u);
+  const size_t base = payload_offset(3125);
+  ASSERT_GT(footer.offsets[2], footer.offsets[1] + 3);
+
+  // Break group 1 twice over: an invalid length byte and a payload byte.
+  auto bad = fx.stream;
+  bad[lengths_offset() + 256 + 7] = 0xFF;
+  bad[base + footer.offsets[1] + 3] ^= 0x5A;
+  EXPECT_THROW((void)decompress_serial(bad), format_error);
+  EXPECT_THROW((void)decompress_range(bad, 256 * 32, 256 * 32 + 256),
+               format_error);
+
+  // Queries in intact groups before and after it still read exactly,
+  // which a decoder that scans from block 0 or walks every group cannot.
+  for (const size_t begin : {size_t{1000}, size_t{10 * 256 * 32 + 100}}) {
+    expect_slice(decompress_range(bad, begin, begin + 256), fx, begin,
+                 begin + 256);
+  }
+}
+
+TEST(RandomAccess, ForgedFooterOffsetIsCaught) {
+  const Fixture fx(100000);
+  size_t footer_off = 0;
+  const ChecksumFooter footer = footer_of(fx.stream, footer_off);
+  // Rewrite one group start and re-seal the footer with a valid self-CRC.
+  const auto forge = [&](size_t g, std::int64_t delta) {
+    ChecksumFooter f = footer;
+    f.offsets[g] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(f.offsets[g]) + delta);
+    auto s = fx.stream;
+    f.serialize(std::span(s).subspan(footer_off));
+    return s;
+  };
+  const size_t begin = 5 * 256 * 32 + 1000;  // inside group 5
+  const size_t end = begin + 256;
+  expect_slice(decompress_range(fx.stream, begin, end), fx, begin, end);
+  // Group 6's start is where group 5 must end: only the chain check ties
+  // it to what the scan of group 5 found.
+  EXPECT_THROW((void)decompress_range(forge(6, 8), begin, end), format_error);
+  // Group 5's own start.
+  EXPECT_THROW((void)decompress_range(forge(5, 8), begin, end), format_error);
+  EXPECT_THROW((void)decompress_range(forge(5, -8), begin, end),
+               format_error);
+  EXPECT_THROW((void)decompress_range(forge(0, 1), begin, end), format_error);
+  EXPECT_THROW((void)decompress_serial(forge(6, 8)), format_error);
+}
+
+TEST(RandomAccess, EdgeRangesMatchFullDecode) {
+  // n is not a multiple of L, and G_B = 7 does not divide the 313 blocks:
+  // the last block and the last group are partial. G_B = 0 is a v1 stream.
+  constexpr size_t n = 10007;
+  for (const unsigned gb : {0u, 7u, 256u}) {
+    const Fixture fx(n, 1e-3, gb);
+    const size_t g7 = 7 * 32;  // first element of group 1 when G_B = 7
+    const std::pair<size_t, size_t> ranges[] = {
+        {0, n},           {0, 0},
+        {n, n},           {n - 1, n},
+        {44 * g7 + 5, n},  // inside the last, partial group
+        {g7 - 10, g7 + 10},  // spans two groups
+        {3 * g7 - 1, 9 * g7 + 1}};
+    for (const auto& [begin, end] : ranges) {
+      SCOPED_TRACE("group blocks " + std::to_string(gb));
+      expect_slice(decompress_range(fx.stream, begin, end), fx, begin, end);
+    }
   }
 }
 

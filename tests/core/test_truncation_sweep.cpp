@@ -11,6 +11,7 @@
 
 #include "szp/core/random_access.hpp"
 #include "szp/core/serial.hpp"
+#include "szp/engine/engine.hpp"
 #include "szp/robust/try_decode.hpp"
 
 namespace {
@@ -51,6 +52,25 @@ TEST(TruncationSweep, RangeDecodeThrowsAtEveryByte) {
         << "len " << len;
   }
   EXPECT_NO_THROW((void)core::decompress_range(stream, 50, 250));
+}
+
+TEST(TruncationSweep, AppendedByteIsRejectedByEveryDecoder) {
+  // A v2 stream ends at its footer: every throwing decoder rejects the
+  // same byte strings.
+  auto stream = make_v2_stream();
+  for (const auto kind :
+       {engine::BackendKind::kSerial, engine::BackendKind::kParallelHost,
+        engine::BackendKind::kDevice}) {
+    engine::Engine eng({.backend = kind, .threads = 4});
+    EXPECT_NO_THROW((void)eng.decompress(stream));
+    stream.push_back(0);
+    EXPECT_THROW((void)eng.decompress(stream), format_error)
+        << engine::backend_name(kind);
+    stream.pop_back();
+  }
+  stream.push_back(0);
+  EXPECT_THROW((void)core::decompress_range(stream, 50, 250), format_error);
+  EXPECT_THROW((void)core::decompress_range(stream, 0, 0), format_error);
 }
 
 // Golden v1 stream captured from the encoder before the integrity footer
@@ -114,9 +134,18 @@ TEST(GoldenV1, AllDecodersAgreeBitForBit) {
   ASSERT_EQ(out.size(), ref.size());
   EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.size() * 4), 0);
 
-  const auto range = core::decompress_range(golden, 10, 90);
-  ASSERT_EQ(range.size(), 80u);
-  EXPECT_EQ(std::memcmp(range.data(), ref.data() + 10, 80 * 4), 0);
+  // Ranges inside one block, across blocks, in the partial last block,
+  // and empty at the end.
+  for (const auto& [begin, end] :
+       {std::pair<size_t, size_t>{10, 90}, {33, 40}, {96, 100}, {100, 100}}) {
+    const auto range = core::decompress_range(golden, begin, end);
+    ASSERT_EQ(range.size(), end - begin);
+    if (range.empty()) continue;  // memcmp must not see a null pointer
+    EXPECT_EQ(std::memcmp(range.data(), ref.data() + begin,
+                          range.size() * sizeof(float)),
+              0)
+        << "range [" << begin << ", " << end << ")";
+  }
 
   const auto stats = core::inspect_stream(golden);
   EXPECT_EQ(stats.version, 1);

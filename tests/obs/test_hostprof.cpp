@@ -10,7 +10,10 @@
 #include <string>
 
 #include "support/mini_json.hpp"
+#include "support/range_reads.hpp"
 #include "szp/core/format.hpp"
+#include "szp/core/random_access.hpp"
+#include "szp/core/serial.hpp"
 #include "szp/data/registry.hpp"
 #include "szp/engine/engine.hpp"
 #include "szp/obs/hostprof/hostprof.hpp"
@@ -133,6 +136,28 @@ TEST_F(HostprofTest, CountersAreExact) {
   EXPECT_EQ(snap.chunk_blocks.count, 4u);
   std::uint64_t blocks_sum = snap.chunk_blocks.sum;
   EXPECT_EQ(blocks_sum, nblocks);
+}
+
+TEST_F(HostprofTest, RangeDecodeCountsTheBytesItFetched) {
+  // A point query reads the header, the footer and its covering checksum
+  // group, not the stream.
+  const data::Field field = test_field();
+  const auto stream = core::compress_serial(field.values, test_params(),
+                                            field.value_range());
+  const size_t begin = field.count() / 2;
+  const size_t end = begin + 256;
+  auto& prof = hostprof::Profiler::instance();
+  prof.reset();
+  EXPECT_EQ(core::decompress_range(stream, begin, end).size(), 256u);
+  const auto snap = prof.snapshot();
+  EXPECT_EQ(snap.counter(hostprof::HostCounter::kDecompressCalls), 1u);
+  EXPECT_EQ(snap.counter(hostprof::HostCounter::kChunks), 1u);
+  EXPECT_EQ(snap.counter(hostprof::HostCounter::kBytesRead),
+            testsupport::seek_read_bytes(stream, begin, end));
+  EXPECT_LT(snap.counter(hostprof::HostCounter::kBytesRead) * 10,
+            stream.size());
+  EXPECT_EQ(snap.counter(hostprof::HostCounter::kBytesWritten),
+            256 * sizeof(float));
 }
 
 TEST_F(HostprofTest, FingerprintIsRunToRunIdentical) {

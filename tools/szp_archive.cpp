@@ -228,15 +228,19 @@ int main(int argc, char** argv) try {
     const size_t entry = r.entry_index(argv[3]);
     const size_t begin = std::stoull(argv[4]);
     const size_t end = std::stoull(argv[5]);
+    // The query's own I/O, after the index read that opening performs.
+    const archive::IoStats opened = r.io_stats();
     const auto values = r.extract_range(entry, begin, end);
+    const auto reads = r.io_stats().reads - opened.reads;
+    const auto bytes = r.io_stats().bytes_read - opened.bytes_read;
     const auto total = r.archive_bytes();
     std::printf(
         "%s[%zu, %zu): %zu elements via %llu reads / %llu bytes "
         "(%.3f%% of the %llu-byte archive)\n",
         argv[3], begin, end, values.size(),
-        static_cast<unsigned long long>(r.io_stats().reads),
-        static_cast<unsigned long long>(r.io_stats().bytes_read),
-        total > 0 ? 100.0 * static_cast<double>(r.io_stats().bytes_read) /
+        static_cast<unsigned long long>(reads),
+        static_cast<unsigned long long>(bytes),
+        total > 0 ? 100.0 * static_cast<double>(bytes) /
                         static_cast<double>(total)
                   : 0.0,
         static_cast<unsigned long long>(total));
