@@ -620,6 +620,10 @@ DeviceCodecResult decompress_device_impl(gs::Device& dev,
       chk->credit(stream, cv, ctx, first_block, active,
                   [&] { check_footer(ctx); });
       if (chk->groups() == 0 && ctx.block_idx == 0) check_footer(ctx);
+    } else if (first_block + active == nblocks &&
+               base + prefix + aggregate != stream.size()) {
+      // A v1 stream ends at its last payload byte.
+      throw format_error("decompress_device: bytes after the last block");
     }
   });
 

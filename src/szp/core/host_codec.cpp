@@ -233,7 +233,8 @@ struct Located {
 /// the CRC of the bytes the scan assigned it. A forged footer entry
 /// therefore fails a chain or CRC check.
 /// v1 has no footer: it is one group starting at the payload area,
-/// scanned from block 0 to r.end, with only the range's payload fetched.
+/// scanned from block 0 to r.end, with only the range's payload fetched;
+/// a scan that reaches the last block must end at the stream's end.
 Located locate(StreamSource& src, const Header& h, BlockRange r,
                size_t nchunks) {
   const size_t nblocks = num_blocks(h.num_elements, h.block_len);
@@ -314,6 +315,9 @@ Located locate(StreamSource& src, const Header& h, BlockRange r,
     }
   }
   for (; m <= nchunks; ++m) loc.starts[m] = pos;
+  if (!h.checksummed() && last == nblocks && pos != p1) {
+    throw format_error("decompress: bytes after the last block");
+  }
   if (!h.checksummed()) {
     loc.payload_at = loc.starts.front();
     loc.payload = src.read(base + loc.payload_at,

@@ -5,7 +5,6 @@
 #include <cstddef>
 
 #include "szp/obs/log.hpp"
-#include "szp/obs/telemetry/flight_recorder.hpp"
 #include "szp/obs/tracer.hpp"
 
 namespace szp::engine {
@@ -63,8 +62,8 @@ CompressedStream Engine::compress(std::span<const float> data,
   // caller's if one is ambient) before opening its span, so the span
   // (and everything downstream — stream ops, log records) carries it.
   const obs::TraceIdScope trace(obs::ensure_trace_id());
-  const obs::Span span("api", "compress", "elements", data.size());
-  const obs::fr::Span rec("api.compress");
+  const obs::Span span(obs::kRequest, "api", "compress", "elements",
+                       data.size());
   auto out = backend_->compress(data, cfg_.params,
                                 eb_abs_for(data, value_range));
   // The device path records inside device_compress (shared with the
@@ -82,8 +81,8 @@ CompressedStream Engine::compress(std::span<const float> data,
 CompressedStream Engine::compress_f64(std::span<const double> data,
                                       std::optional<double> value_range) {
   const obs::TraceIdScope trace(obs::ensure_trace_id());
-  const obs::Span span("api", "compress", "elements", data.size());
-  const obs::fr::Span rec("api.compress_f64");
+  const obs::Span span(obs::kRequest, "api", "compress_f64", "elements",
+                       data.size());
   auto out = backend_->compress_f64(data, cfg_.params,
                                     eb_abs_for(data, value_range));
   if (backend_->kind() != BackendKind::kDevice) {
@@ -98,8 +97,8 @@ CompressedStream Engine::compress_f64(std::span<const double> data,
 
 std::vector<float> Engine::decompress(std::span<const byte_t> stream) {
   const obs::TraceIdScope trace(obs::ensure_trace_id());
-  const obs::Span span("api", "decompress", "bytes", stream.size());
-  const obs::fr::Span rec("api.decompress");
+  const obs::Span span(obs::kRequest, "api", "decompress", "bytes",
+                       stream.size());
   auto out = backend_->decompress(stream);
   if (backend_->kind() != BackendKind::kDevice) {
     detail::record_decompress_call(out.size() * sizeof(float));
@@ -112,8 +111,8 @@ std::vector<float> Engine::decompress(std::span<const byte_t> stream) {
 
 std::vector<double> Engine::decompress_f64(std::span<const byte_t> stream) {
   const obs::TraceIdScope trace(obs::ensure_trace_id());
-  const obs::Span span("api", "decompress", "bytes", stream.size());
-  const obs::fr::Span rec("api.decompress_f64");
+  const obs::Span span(obs::kRequest, "api", "decompress_f64", "bytes",
+                       stream.size());
   auto out = backend_->decompress_f64(stream);
   if (backend_->kind() != BackendKind::kDevice) {
     detail::record_decompress_call(out.size() * sizeof(double));
@@ -131,8 +130,8 @@ std::vector<CompressedStream> Engine::compress_batch(
   // executing the ops submitted below, so the request is followable
   // across engine → stream threads.
   const obs::TraceIdScope trace(obs::ensure_trace_id());
-  const obs::Span span("api", "compress_batch", "fields", fields.size());
-  const obs::fr::Span rec("api.compress_batch");
+  const obs::Span span(obs::kRequest, "api", "compress_batch", "fields",
+                       fields.size());
   std::vector<double> ebs(fields.size());
   for (std::size_t i = 0; i < fields.size(); ++i) {
     ebs[i] = eb_abs_for(fields[i], shared_value_range);
@@ -159,7 +158,8 @@ DeviceRoundtrip Engine::device_roundtrip(std::span<const float> data,
     throw format_error("Engine: device_roundtrip needs the device backend");
   }
   const obs::TraceIdScope trace(obs::ensure_trace_id());
-  const obs::fr::Span rec("api.device_roundtrip");
+  const obs::Span request(obs::kRequest, "api", "device_roundtrip",
+                          "elements", data.size());
   const LockGuard lock(dev_backend->op_mutex());
   gpusim::Device& dev = dev_backend->device();
   const size_t n = data.size();

@@ -38,7 +38,7 @@ void ThreadPool::run(size_t count, const std::function<void(size_t)>& task) {
   if (count == 0) return;
   if (hostprof::enabled()) {
     auto& prof = hostprof::Profiler::instance();
-    prof.label_thread("szp-caller-", 0);
+    obs::set_thread_name("szp-caller-0", /*overwrite=*/false);
     prof.note_batch();
     prof.count(hostprof::HostCounter::kBatches);
     prof.count(hostprof::HostCounter::kTasks, count);
@@ -75,7 +75,7 @@ void ThreadPool::run(size_t count, const std::function<void(size_t)>& task) {
 }
 
 void ThreadPool::worker_loop(unsigned index) {
-  bool trace_named = false;
+  bool named = false;
   std::uint64_t seen = 0;
   UniqueLock lock(mutex_);
   for (;;) {
@@ -91,12 +91,9 @@ void ThreadPool::worker_loop(unsigned index) {
     // make one final (empty) index claim after the batch completed.
     const std::shared_ptr<Batch> batch = batch_;
     lock.unlock();
-    if (hostprof::enabled()) {
-      hostprof::Profiler::instance().label_thread("szp-worker-", index);
-    }
-    if (obs::tracing_enabled() && !trace_named) {
+    if (!named && obs::observers() != 0) {
       obs::set_thread_name("szp-worker-" + std::to_string(index));
-      trace_named = true;
+      named = true;
     }
     process(*batch);
     lock.lock();

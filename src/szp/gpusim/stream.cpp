@@ -282,8 +282,6 @@ bool Stream::idle() const {
 
 void Stream::thread_loop() {
   obs::set_thread_name("stream:" + name_);
-  // fr copies into a fixed buffer, so the temporary c_str() is fine.
-  obs::fr::set_thread_name(("stream:" + name_).c_str());
   // Stream threads issue memcpys and host tasks while other streams'
   // kernels are in flight — legitimate overlap, not the stray host poke
   // memcheck's host-access-during-kernel check hunts for.

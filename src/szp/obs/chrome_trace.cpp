@@ -53,7 +53,7 @@ void write_event(std::ostream& os, const FlatEvent& fe) {
   }
   if (e.ph == Phase::kInstant) os << ", \"s\": \"t\"";
   os << ", \"pid\": 1, \"tid\": " << fe.tid;
-  if (e.arg1_name != nullptr || e.arg2_name != nullptr || e.flow_id != 0) {
+  if (e.arg1_name != nullptr || e.arg2_name != nullptr || e.trace_id != 0) {
     os << ", \"args\": {";
     bool any = false;
     if (e.arg1_name != nullptr) {
@@ -67,9 +67,9 @@ void write_event(std::ostream& os, const FlatEvent& fe) {
       os << ": " << e.arg2;
       any = true;
     }
-    if (e.flow_id != 0) {
+    if (e.trace_id != 0) {
       if (any) os << ", ";
-      os << "\"trace_id\": " << e.flow_id;
+      os << "\"trace_id\": " << e.trace_id;
     }
     os << '}';
   }
@@ -83,7 +83,7 @@ void write_flow_event(std::ostream& os, const FlatEvent& fe, char ph,
                       bool ending) {
   const Event& e = *fe.e;
   os << "{\"name\": \"request\", \"cat\": \"flow\", \"ph\": \"" << ph
-     << "\", \"id\": " << e.flow_id << ", \"ts\": ";
+     << "\", \"id\": " << e.trace_id << ", \"ts\": ";
   write_us(os, e.ts_ns);
   if (ending) os << ", \"bp\": \"e\"";
   os << ", \"pid\": 1, \"tid\": " << fe.tid << '}';
@@ -148,11 +148,11 @@ void write_chrome_trace(std::ostream& os) {
   // otherwise double-count a phase).
   std::map<std::uint64_t, std::vector<const FlatEvent*>> flows;
   for (const FlatEvent& fe : flat) {
-    if (fe.e->flow_id == 0) continue;
+    if (fe.e->trace_id == 0) continue;
     if (fe.e->ph != Phase::kComplete && fe.e->ph != Phase::kBegin) continue;
-    flows[fe.e->flow_id].push_back(&fe);
+    flows[fe.e->trace_id].push_back(&fe);
   }
-  for (const auto& [flow_id, steps] : flows) {
+  for (const auto& [trace_id, steps] : flows) {
     if (steps.size() < 2) continue;
     for (std::size_t i = 0; i < steps.size(); ++i) {
       sep();

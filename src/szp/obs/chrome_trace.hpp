@@ -1,6 +1,6 @@
 // Chrome trace-event JSON exporter (the format Perfetto and
-// chrome://tracing load). Events come out of the span tracer's per-thread
-// rings; each recording thread becomes one lane, so the per-thread-block
+// chrome://tracing load). Events come out of the per-thread event lanes;
+// each recording thread becomes one trace lane, so the per-thread-block
 // spans of gpusim kernel launches render as a thread-block timeline.
 //
 // Format reference: the Trace Event Format's JSON-object form —

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <memory>
 
 #include "szp/obs/hostprof/report.hpp"
 #include "szp/obs/log.hpp"
@@ -109,25 +108,8 @@ struct AtomicPow2Hist {
 
 }  // namespace
 
-/// One thread's lane. Bucket adds come only from the owning thread
-/// (relaxed atomics so snapshots from other threads read torn-free); the
-/// mutex guards label/alive.
-struct Profiler::ThreadSlot {
-  mutable Mutex mutex;  // label + alive
-  std::uint32_t tid = 0;  // immutable after registration
-  std::string label SZP_GUARDED_BY(mutex);
-  bool alive SZP_GUARDED_BY(mutex) = true;
-  std::atomic<std::uint64_t> start_ns{0};
-  std::atomic<std::uint64_t> end_ns{0};  // set once at thread exit
-  std::array<std::atomic<std::uint64_t>, kNumBuckets> bucket_ns{};
-  std::atomic<std::uint64_t> tasks{0};
-  std::atomic<std::uint64_t> batches{0};
-};
-
 struct Profiler::Registry {
   mutable Mutex mutex;
-  std::vector<std::shared_ptr<ThreadSlot>> slots SZP_GUARDED_BY(mutex);
-  std::uint32_t next_tid SZP_GUARDED_BY(mutex) = 0;
   std::string export_path SZP_GUARDED_BY(mutex);
   std::array<std::atomic<std::uint64_t>, kNumHostCounters> counters{};
   AtomicPow2Hist chunk_blocks;
@@ -145,59 +127,32 @@ Profiler::Registry& Profiler::registry() const {
 }
 
 namespace {
-/// Marks the lane dead (and stamps its end time) when the owning thread
-/// exits; the lane itself stays registered until Profiler::reset().
-struct SlotHandle {
-  std::shared_ptr<Profiler::ThreadSlot> slot;
-  ~SlotHandle() {
-    if (slot) {
-      slot->end_ns.store(now_ns(), std::memory_order_relaxed);
-      const LockGuard lock(slot->mutex);
-      slot->alive = false;
-    }
-  }
-};
-}  // namespace
 
-Profiler::ThreadSlot& Profiler::local_slot() {
-  thread_local SlotHandle handle;
-  if (!handle.slot) {
-    auto slot = std::make_shared<ThreadSlot>();
-    slot->start_ns.store(now_ns(), std::memory_order_relaxed);
-    Registry& reg = registry();
-    const LockGuard lock(reg.mutex);
-    slot->tid = reg.next_tid++;
-    reg.slots.push_back(slot);
-    handle.slot = std::move(slot);
+static_assert(kNumBuckets == kLaneBuckets);
+
+/// The calling thread's lane, listed from its first sample since reset().
+Lane& sampled_lane() {
+  Lane& lane = local_lane();
+  if ((lane.state.load(std::memory_order_relaxed) & Lane::kProfHold) == 0) {
+    lane.prof_start_ns.store(now_ns(), std::memory_order_relaxed);
+    lane.state.fetch_or(Lane::kProfHold, std::memory_order_release);
   }
-  return *handle.slot;
+  return lane;
 }
 
+}  // namespace
+
 void Profiler::add_time(Bucket b, std::uint64_t ns) {
-  local_slot().bucket_ns[static_cast<unsigned>(b)].fetch_add(
+  sampled_lane().prof_ns[static_cast<unsigned>(b)].fetch_add(
       ns, std::memory_order_relaxed);
 }
 
 void Profiler::note_task() {
-  local_slot().tasks.fetch_add(1, std::memory_order_relaxed);
+  sampled_lane().prof_tasks.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Profiler::note_batch() {
-  local_slot().batches.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Profiler::label_thread(std::string_view prefix, unsigned index) {
-  ThreadSlot& slot = local_slot();
-  const LockGuard lock(slot.mutex);
-  if (slot.label.empty()) {
-    slot.label = std::string(prefix) + std::to_string(index);
-  }
-}
-
-void Profiler::set_thread_label(std::string label) {
-  ThreadSlot& slot = local_slot();
-  const LockGuard lock(slot.mutex);
-  slot.label = std::move(label);
+  sampled_lane().prof_batches.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Profiler::count(HostCounter c, std::uint64_t n) {
@@ -214,65 +169,54 @@ void Profiler::observe_chunk(std::uint64_t blocks,
 
 Snapshot Profiler::snapshot() const {
   Registry& reg = registry();
-  std::vector<std::shared_ptr<ThreadSlot>> slots;
   Snapshot out;
-  {
-    const LockGuard lock(reg.mutex);
-    slots = reg.slots;
-  }
   for (unsigned i = 0; i < kNumHostCounters; ++i) {
     out.counters[i] = reg.counters[i].load(std::memory_order_relaxed);
   }
   out.chunk_blocks = reg.chunk_blocks.snapshot();
   out.chunk_payload_bytes = reg.chunk_payload_bytes.snapshot();
   const std::uint64_t now = now_ns();
-  out.threads.reserve(slots.size());
-  for (const auto& slot : slots) {
+  for (const Lane* lane = lanes(); lane != nullptr; lane = lane->next) {
+    const std::uint32_t state = lane->state.load(std::memory_order_acquire);
+    if ((state & Lane::kProfHold) == 0) continue;
     ThreadSnapshot t;
-    {
-      const LockGuard lock(slot->mutex);
-      t.label = slot->label;
-      t.alive = slot->alive;
-    }
-    t.tid = slot->tid;
-    const std::uint64_t start = slot->start_ns.load(std::memory_order_relaxed);
+    t.tid = lane->id;
+    t.label = lane->thread_name();
+    t.alive = (state & Lane::kLive) != 0;
+    const std::uint64_t start =
+        lane->prof_start_ns.load(std::memory_order_relaxed);
     const std::uint64_t end =
-        t.alive ? now : slot->end_ns.load(std::memory_order_relaxed);
+        t.alive ? now : lane->prof_end_ns.load(std::memory_order_relaxed);
     t.wall_ns = end > start ? end - start : 0;
     std::uint64_t attributed = 0;
     for (unsigned b = 0; b < kNumBuckets; ++b) {
-      t.bucket_ns[b] = slot->bucket_ns[b].load(std::memory_order_relaxed);
+      t.bucket_ns[b] = lane->prof_ns[b].load(std::memory_order_relaxed);
       attributed += t.bucket_ns[b];
     }
     // Clock granularity can push the bucket sum a hair past the lane
     // wall; report the wall as attributed so percentages stay sane.
     if (attributed > t.wall_ns) t.wall_ns = attributed;
     t.idle_ns = t.wall_ns - attributed;
-    t.tasks = slot->tasks.load(std::memory_order_relaxed);
-    t.batches = slot->batches.load(std::memory_order_relaxed);
+    t.tasks = lane->prof_tasks.load(std::memory_order_relaxed);
+    t.batches = lane->prof_batches.load(std::memory_order_relaxed);
     out.threads.push_back(std::move(t));
   }
+  std::sort(out.threads.begin(), out.threads.end(),
+            [](const ThreadSnapshot& a, const ThreadSnapshot& b) {
+              return a.tid < b.tid;
+            });
   return out;
 }
 
 void Profiler::reset() {
-  Registry& reg = registry();
-  const LockGuard lock(reg.mutex);
-  auto& v = reg.slots;
-  v.erase(std::remove_if(v.begin(), v.end(),
-                         [](const std::shared_ptr<ThreadSlot>& s) {
-                           const LockGuard sl(s->mutex);
-                           return !s->alive;
-                         }),
-          v.end());
-  const std::uint64_t now = now_ns();
-  for (const auto& slot : v) {
-    for (auto& b : slot->bucket_ns) b.store(0, std::memory_order_relaxed);
-    slot->tasks.store(0, std::memory_order_relaxed);
-    slot->batches.store(0, std::memory_order_relaxed);
-    slot->start_ns.store(now, std::memory_order_relaxed);
-    slot->end_ns.store(0, std::memory_order_relaxed);
+  // Zero before releasing the hold: a lane free for reuse holds nothing.
+  for (Lane* lane = lanes(); lane != nullptr; lane = lane->next) {
+    for (auto& b : lane->prof_ns) b.store(0, std::memory_order_relaxed);
+    lane->prof_tasks.store(0, std::memory_order_relaxed);
+    lane->prof_batches.store(0, std::memory_order_relaxed);
+    lane->state.fetch_and(~Lane::kProfHold, std::memory_order_release);
   }
+  Registry& reg = registry();
   for (auto& c : reg.counters) c.store(0, std::memory_order_relaxed);
   reg.chunk_blocks.reset();
   reg.chunk_payload_bytes.reset();

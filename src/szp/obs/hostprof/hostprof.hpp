@@ -11,8 +11,9 @@
 //     process exit.
 //   * explicit Profiler::instance().set_enabled(true) — tests/benches.
 //
-// Attribution model: every instrumented thread owns a lane, registered
-// lazily on its first sample and surviving thread exit until reset().
+// Attribution model: samples accumulate in the calling thread's event
+// lane (szp/obs/lane.hpp). A lane is listed from its first sample after
+// reset() and survives thread exit until the next reset().
 // Lane wall time (registration → snapshot) splits into
 //   work     = qp + fe + gs + bb + checksum     (codec stage buckets)
 //   overhead = queue_wait + dispatch + barrier  (executor buckets)
@@ -38,18 +39,14 @@
 #include <string_view>
 #include <vector>
 
-#include "szp/obs/tracer.hpp"  // now_ns()
+#include "szp/obs/lane.hpp"
 
 namespace szp::obs::hostprof {
 
-namespace detail {
-/// Global enable flag; inline so the fast-path check inlines everywhere.
-inline std::atomic<bool> g_hostprof{false};
-}  // namespace detail
-
 /// The one-branch fast path: every sample helper checks this first.
 [[nodiscard]] inline bool enabled() {
-  return detail::g_hostprof.load(std::memory_order_relaxed);
+  return (obs::detail::g_mode.load(std::memory_order_relaxed) &
+          obs::detail::kHostprof) != 0;
 }
 
 /// Profiler configuration, parsed from SZP_HOSTPROF.
@@ -118,10 +115,10 @@ struct HistSnapshot {
 };
 
 struct ThreadSnapshot {
-  std::uint32_t tid = 0;    // hostprof lane id, registration order
-  std::string label;        // "szp-worker-0", "szp-caller", ...
+  std::uint32_t tid = 0;    // lane id, registration order
+  std::string label;        // "szp-worker-0", "szp-caller-0", ...
   bool alive = true;
-  std::uint64_t wall_ns = 0;  // lane registration → snapshot (or exit)
+  std::uint64_t wall_ns = 0;  // first sample → snapshot (or exit)
   std::array<std::uint64_t, kNumBuckets> bucket_ns{};
   std::uint64_t idle_ns = 0;  // wall - sum(bucket_ns), clamped at 0
   std::uint64_t tasks = 0;    // chunk tasks this lane claimed
@@ -141,16 +138,13 @@ struct Snapshot {
 
 // --- the profiler ------------------------------------------------------
 
-/// Process-wide collector. Threads register a lane lazily on their first
-/// sample; lanes survive thread exit until reset() so short-lived worker
-/// pools keep their rows in the report.
+/// Process-wide collector over the event lanes: per-thread samples live
+/// in the lanes, the deterministic counters here.
 class Profiler {
  public:
   static Profiler& instance();
 
-  void set_enabled(bool on) {
-    detail::g_hostprof.store(on, std::memory_order_relaxed);
-  }
+  void set_enabled(bool on) { set_observer(obs::detail::kHostprof, on); }
   [[nodiscard]] bool is_enabled() const { return enabled(); }
 
   /// Timing samples (callers check enabled(); these always record).
@@ -158,31 +152,22 @@ class Profiler {
   void note_task();   // calling lane claimed one chunk task
   void note_batch();  // calling lane submitted one executor batch
 
-  /// Label the calling lane "<prefix><index>" if it has no label yet.
-  void label_thread(std::string_view prefix, unsigned index);
-  /// Label the calling lane unconditionally.
-  void set_thread_label(std::string label);
-
   /// Deterministic counters (callers check enabled()).
   void count(HostCounter c, std::uint64_t n = 1);
   void observe_chunk(std::uint64_t blocks, std::uint64_t payload_bytes);
 
   /// Value-typed copy of everything collected so far.
   [[nodiscard]] Snapshot snapshot() const;
-  /// Zero counters and live lanes; drop lanes of exited threads.
+  /// Zero counters and lane samples; stop listing lanes until their next
+  /// sample, which frees exited threads' lanes.
   void reset();
 
   /// SZP_HOSTPROF=<path> export target ("" = none).
   void set_export_path(std::string path);
   [[nodiscard]] std::string export_path() const;
 
-  // Implementation detail (public so the thread-local registration helper
-  // in hostprof.cpp can hold a shared_ptr to its lane).
-  struct ThreadSlot;
-
  private:
   Profiler() = default;
-  [[nodiscard]] ThreadSlot& local_slot();
   struct Registry;
   Registry& registry() const;
 };

@@ -2,128 +2,41 @@
 
 #include <unistd.h>
 
-#include <cstring>
 #include <ostream>
 
 namespace szp::obs::fr {
 
-void set_enabled(bool on) {
-  detail::g_recording.store(on, std::memory_order_relaxed);
-}
-
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kSpanBegin: return "span_begin";
-    case Kind::kSpanEnd: return "span_end";
-    case Kind::kKernel: return "kernel";
-    case Kind::kStreamOp: return "stream_op";
-    case Kind::kMemcpy: return "memcpy";
-    case Kind::kFault: return "fault";
-    case Kind::kSalvage: return "salvage";
-    case Kind::kError: return "error";
-    case Kind::kLog: return "log";
-    case Kind::kRequest: return "request";
-  }
-  return "unknown";
-}
-
 namespace detail {
 
-std::atomic<Ring*>& ring_list() {
-  static std::atomic<Ring*> head{nullptr};
-  return head;
-}
-
-namespace {
-
-std::atomic<std::uint32_t> g_next_tid{0};
-
-/// Keeps the thread's ring pointer; on thread exit only marks it dead —
-/// the ring itself is immortal so late/crash-time readers stay safe.
-struct ThreadLocalRing {
-  Ring* ring = nullptr;
-  ~ThreadLocalRing() {
-    if (ring != nullptr) {
-      ring->alive.store(false, std::memory_order_relaxed);
-    }
-  }
-};
-
-}  // namespace
-
-Ring& local_ring() {
-  thread_local ThreadLocalRing handle;
-  if (handle.ring == nullptr) {
-    Ring* r = new Ring();  // intentionally never freed
-    r->tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
-    std::atomic<Ring*>& head = ring_list();
-    Ring* old = head.load(std::memory_order_relaxed);
-    do {
-      r->next = old;
-    } while (!head.compare_exchange_weak(old, r, std::memory_order_release,
-                                         std::memory_order_relaxed));
-    handle.ring = r;
-  }
-  return *handle.ring;
-}
-
 void record_impl(Kind k, const char* name, std::uint64_t a, std::uint64_t b) {
-  local_ring().push(k, name, a, b);
-}
-
-void span_begin_impl(const char* name) {
-  Ring& r = local_ring();
-  const std::uint32_t d = r.span_depth.load(std::memory_order_relaxed);
-  if (d < kMaxSpanDepth) r.span_stack[d] = name;
-  r.span_depth.store(d + 1, std::memory_order_release);
-  r.push(Kind::kSpanBegin, name, 0, 0);
-}
-
-void span_end_impl() {
-  Ring& r = local_ring();
-  const std::uint32_t d = r.span_depth.load(std::memory_order_relaxed);
-  const char* name = "";
-  if (d > 0) {
-    if (d <= kMaxSpanDepth) name = r.span_stack[d - 1];
-    r.span_depth.store(d - 1, std::memory_order_release);
-  }
-  r.push(Kind::kSpanEnd, name, 0, 0);
+  Event e;
+  e.ts_ns = now_ns();
+  e.trace_id = current_trace_id();
+  e.name = name;
+  e.arg1 = a;
+  e.arg2 = b;
+  e.kind = k;
+  push(e, false);
 }
 
 }  // namespace detail
 
-void set_thread_name(const char* name) {
-  if (!recording_enabled()) return;
-  Ring& r = detail::local_ring();
-  std::strncpy(r.thread_name, name, sizeof(r.thread_name) - 1);
-  r.thread_name[sizeof(r.thread_name) - 1] = '\0';
-}
-
 std::uint64_t event_count() {
-  std::uint64_t n = 0;
-  for (Ring* r = detail::ring_list().load(std::memory_order_acquire);
-       r != nullptr; r = r->next) {
-    n += r->seq.load(std::memory_order_acquire);
+  std::uint64_t n = reused_lane_events();
+  for (const Lane* l = lanes(); l != nullptr; l = l->next) {
+    n += l->seq.load(std::memory_order_acquire);
   }
   return n;
 }
 
 std::uint64_t dropped_events() {
   std::uint64_t n = 0;
-  for (Ring* r = detail::ring_list().load(std::memory_order_acquire);
-       r != nullptr; r = r->next) {
-    const std::uint64_t seq = r->seq.load(std::memory_order_acquire);
-    if (seq > kRingCapacity) n += seq - kRingCapacity;
+  for (const Lane* l = lanes(); l != nullptr; l = l->next) {
+    const std::uint64_t seq = l->seq.load(std::memory_order_acquire);
+    const std::uint64_t cap = l->cap.load(std::memory_order_relaxed);
+    if (seq > cap) n += seq - cap;
   }
   return n;
-}
-
-void clear() {
-  for (Ring* r = detail::ring_list().load(std::memory_order_acquire);
-       r != nullptr; r = r->next) {
-    r->seq.store(0, std::memory_order_release);
-    r->span_depth.store(0, std::memory_order_release);
-  }
 }
 
 // ------------------------------------------------------------- dumps ----
@@ -192,50 +105,54 @@ struct FdWriter {
 /// Shared dump walk, parameterized over the two writers via a tiny
 /// emit interface so the JSON stays byte-identical.
 template <class W>
-void dump_rings(W& w) {
+void dump_lanes(W& w) {
   w.str("{\"schema\": \"szp.flight_recorder.v1\", \"threads\": [");
-  bool first_ring = true;
-  for (Ring* r = detail::ring_list().load(std::memory_order_acquire);
-       r != nullptr; r = r->next) {
-    w.str(first_ring ? "\n" : ",\n");
-    first_ring = false;
-    const std::uint64_t seq = r->seq.load(std::memory_order_acquire);
-    const std::uint64_t kept =
-        seq < kRingCapacity ? seq : static_cast<std::uint64_t>(kRingCapacity);
+  bool first_lane = true;
+  for (const Lane* l = lanes(); l != nullptr; l = l->next) {
+    w.str(first_lane ? "\n" : ",\n");
+    first_lane = false;
+    const std::uint64_t seq = l->seq.load(std::memory_order_acquire);
+    const std::uint64_t cap = l->cap.load(std::memory_order_relaxed);
+    const std::uint64_t kept = seq < cap ? seq : cap;
+    char name[kThreadNameMax];
+    l->copy_name(name);
     w.str("{\"tid\": ");
-    w.u64(r->tid);
+    w.u64(l->id);
     w.str(", \"name\": ");
-    w.jstr(r->thread_name);
+    w.jstr(name);
     w.str(", \"alive\": ");
-    w.str(r->alive.load(std::memory_order_relaxed) ? "true" : "false");
+    w.str((l->state.load(std::memory_order_relaxed) & Lane::kLive) != 0
+              ? "true"
+              : "false");
     w.str(", \"dropped\": ");
-    w.u64(seq > kRingCapacity ? seq - kRingCapacity : 0);
+    w.u64(seq - kept);
     w.str(", \"active_spans\": [");
-    const std::uint32_t depth = r->span_depth.load(std::memory_order_acquire);
+    const std::uint32_t depth = l->span_depth.load(std::memory_order_acquire);
     const std::uint32_t shown =
         depth < kMaxSpanDepth ? depth
                               : static_cast<std::uint32_t>(kMaxSpanDepth);
     for (std::uint32_t i = 0; i < shown; ++i) {
       if (i > 0) w.str(", ");
-      w.jstr(r->span_stack[i] != nullptr ? r->span_stack[i] : "");
+      const char* span = l->span_stack[i].load(std::memory_order_relaxed);
+      w.jstr(span != nullptr ? span : "");
     }
     w.str("], \"events\": [");
-    for (std::uint64_t i = 0; i < kept; ++i) {
-      // Oldest first: slots [seq-kept, seq).
-      const Event& e = r->slots[(seq - kept + i) % kRingCapacity];
-      w.str(i > 0 ? ",\n  " : "\n  ");
+    for (std::uint64_t i = seq - kept; i < seq; ++i) {
+      // Oldest first; a span_end is stamped at its end.
+      const Event e = l->load(i);
+      w.str(i > seq - kept ? ",\n  " : "\n  ");
       w.str("{\"ts_ns\": ");
-      w.u64(e.ts_ns);
+      w.u64(e.ts_ns + e.dur_ns);
       w.str(", \"kind\": ");
       w.jstr(kind_name(e.kind));
       w.str(", \"name\": ");
-      w.jstr(e.name != nullptr ? e.name : "");
+      w.jstr(e.name);
       w.str(", \"trace_id\": ");
       w.u64(e.trace_id);
       w.str(", \"a\": ");
-      w.u64(e.a);
+      w.u64(e.arg1);
       w.str(", \"b\": ");
-      w.u64(e.b);
+      w.u64(e.arg2);
       w.str("}");
     }
     w.str("]}");
@@ -268,13 +185,13 @@ struct OsWriter {
 
 void write_json(std::ostream& os) {
   OsWriter w{os};
-  dump_rings(w);
+  dump_lanes(w);
   os << '\n';
 }
 
 bool dump_to_fd(int fd) {
   FdWriter w{fd};
-  dump_rings(w);
+  dump_lanes(w);
   w.ch('\n');
   w.flush();
   return w.ok;

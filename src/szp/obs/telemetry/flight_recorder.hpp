@@ -1,159 +1,55 @@
 // Always-on flight recorder: a black box of recent structured events.
 //
-// Each thread owns a fixed-size ring of plain-old-data events (span
-// begin/end, kernel launches, stream ops, fault/salvage events, errors,
-// log records). Pushes are lock-free and owner-only: write the slot,
-// then release-store the sequence counter. Rings live in a push-only
-// intrusive list that is never freed, so a reader — including the crash
-// handler running in a signal context — can traverse it without locks
-// or allocation.
+// The recorder is a reader and writer of the per-thread event lanes
+// (szp/obs/lane.hpp): kernel launches, stream ops, fault/salvage events,
+// errors and log records land in the calling thread's ring next to the
+// request-tier spans (obs::Span with obs::kRequest). Pushes are
+// lock-free and owner-only, and the lane list is immortal, so a reader —
+// including the crash handler running in a signal context — walks it
+// without locks or allocation. Readers tolerate a torn in-flight slot on
+// a live thread: this is a crash-dump black box, not a precise trace.
 //
 // Overhead contract: with recording disabled every instrumentation site
-// costs one relaxed atomic load and branch (same as the tracer and
-// metrics fast paths); enabled, a push is a clock read plus a handful
-// of plain stores. Readers tolerate a torn in-flight slot on a live
-// thread: this is a crash-dump black box, not a precise trace.
-//
-// Event names must be string literals (or otherwise immortal) — events
-// store the pointer, and the crash handler dereferences it after the
-// fault.
+// costs one relaxed atomic load and branch; enabled, a push is a clock
+// read plus a handful of plain stores.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 
-#include "szp/obs/trace_id.hpp"
-
-namespace szp::obs {
-/// Defined in tracer.cpp: monotonic ns since process start.
-std::uint64_t now_ns();
-}  // namespace szp::obs
+#include "szp/obs/lane.hpp"
 
 namespace szp::obs::fr {
 
-namespace detail {
-inline std::atomic<bool> g_recording{false};
-}  // namespace detail
-
 /// The one-branch fast path: every recording site checks this first.
 [[nodiscard]] inline bool recording_enabled() {
-  return detail::g_recording.load(std::memory_order_relaxed);
+  return (obs::detail::g_mode.load(std::memory_order_relaxed) &
+          obs::detail::kRecording) != 0;
 }
 
-void set_enabled(bool on);
+inline void set_enabled(bool on) { set_observer(obs::detail::kRecording, on); }
 
-/// Structured event kinds — what the last moments of a process looked
-/// like, not a full trace.
-enum class Kind : std::uint8_t {
-  kSpanBegin = 0,
-  kSpanEnd = 1,
-  kKernel = 2,
-  kStreamOp = 3,
-  kMemcpy = 4,
-  kFault = 5,
-  kSalvage = 6,
-  kError = 7,
-  kLog = 8,
-  kRequest = 9,
-};
-
-[[nodiscard]] const char* kind_name(Kind k);
-
-/// One recorded event; plain data so a signal-context reader can format
-/// it with nothing but integer printing.
-struct Event {
-  std::uint64_t ts_ns = 0;
-  std::uint64_t trace_id = 0;
-  const char* name = "";
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  Kind kind = Kind::kLog;
-};
-
-/// Events kept per thread. A power of two keeps the wrap cheap.
-inline constexpr std::size_t kRingCapacity = 256;
-/// Active-span stack depth tracked per thread; deeper nesting is still
-/// counted but the names are not retained.
-inline constexpr std::size_t kMaxSpanDepth = 16;
-
-/// One thread's ring + active-span stack. Public so the crash handler
-/// can walk rings from a signal context; everything here is either
-/// owner-written plain data published by `seq`, or atomics.
-struct Ring {
-  std::uint32_t tid = 0;
-  char thread_name[48] = {0};
-  std::atomic<std::uint64_t> seq{0};  // events ever pushed; head = seq % cap
-  std::atomic<bool> alive{true};
-  Event slots[kRingCapacity];
-  const char* span_stack[kMaxSpanDepth] = {nullptr};
-  std::atomic<std::uint32_t> span_depth{0};
-  Ring* next = nullptr;  // intrusive push-only list
-
-  /// Owner-only push: fill the slot, then publish with a release store
-  /// so a reader that acquires `seq` sees complete slots behind it.
-  void push(Kind k, const char* name, std::uint64_t a, std::uint64_t b) {
-    const std::uint64_t s = seq.load(std::memory_order_relaxed);
-    Event& e = slots[s % kRingCapacity];
-    e.ts_ns = szp::obs::now_ns();
-    e.trace_id = current_trace_id();
-    e.name = name;
-    e.a = a;
-    e.b = b;
-    e.kind = k;
-    seq.store(s + 1, std::memory_order_release);
-  }
-};
+using obs::Kind;
 
 namespace detail {
-/// Head of the immortal ring list (push-only; never freed so the crash
-/// handler can traverse it lock-free at any time).
-[[nodiscard]] std::atomic<Ring*>& ring_list();
-/// The calling thread's ring, registering it on first use.
-[[nodiscard]] Ring& local_ring();
 void record_impl(Kind k, const char* name, std::uint64_t a, std::uint64_t b);
-void span_begin_impl(const char* name);
-void span_end_impl();
 }  // namespace detail
 
-/// Record one event into the calling thread's ring.
+/// Record one event into the calling thread's lane.
 inline void record(Kind k, const char* name, std::uint64_t a = 0,
                    std::uint64_t b = 0) {
   if (!recording_enabled()) return;
   detail::record_impl(k, name, a, b);
 }
 
-/// Label the calling thread in dumps (truncated to 47 chars).
-void set_thread_name(const char* name);
-
-/// RAII span: records kSpanBegin/kSpanEnd and maintains the per-thread
-/// active-span stack the crash handler reports.
-class Span {
- public:
-  explicit Span(const char* name) {
-    if (recording_enabled()) {
-      active_ = true;
-      detail::span_begin_impl(name);
-    }
-  }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span() {
-    if (active_) detail::span_end_impl();
-  }
-
- private:
-  bool active_ = false;
-};
-
-/// Total events ever recorded / lost to wrap-around, across all rings.
+/// Total events ever recorded / lost to wrap-around, across all lanes.
 [[nodiscard]] std::uint64_t event_count();
 [[nodiscard]] std::uint64_t dropped_events();
 
-/// Drop all recorded events and span stacks (rings stay registered).
-void clear();
+/// Drop all recorded events and span stacks (obs::clear_lanes()).
+inline void clear() { clear_lanes(); }
 
-/// JSON dump of every ring: {"threads": [{tid, name, dropped,
+/// JSON dump of every lane: {"threads": [{tid, name, dropped,
 /// active_spans, events: [...]}, ...]}. Same shape the crash handler
 /// emits inside a bundle.
 void write_json(std::ostream& os);

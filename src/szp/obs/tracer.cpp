@@ -1,196 +1,123 @@
 #include "szp/obs/tracer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 
 #include "szp/obs/chrome_trace.hpp"
 #include "szp/obs/log.hpp"
 #include "szp/obs/metrics.hpp"
 #include "szp/util/env.hpp"
-#include "szp/util/thread_annotations.hpp"
 
 namespace szp::obs {
-
-std::uint64_t now_ns() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point epoch = Clock::now();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           epoch)
-          .count());
-}
-
-/// One thread's ring. push() is only ever called by the owning thread;
-/// the mutex serializes it against collect()/clear() from other threads.
-struct Tracer::ThreadBuffer {
-  mutable Mutex mutex;
-  std::uint32_t tid = 0;  // immutable after registration
-  std::string name SZP_GUARDED_BY(mutex);
-  bool alive SZP_GUARDED_BY(mutex) = true;  // owning thread still running
-  std::size_t capacity SZP_GUARDED_BY(mutex) = 0;
-  std::size_t head SZP_GUARDED_BY(mutex) = 0;  // next write position
-  std::uint64_t overwritten SZP_GUARDED_BY(mutex) = 0;
-  std::vector<Event> ring SZP_GUARDED_BY(mutex);
-
-  void push(const Event& e) {
-    const LockGuard lock(mutex);
-    if (ring.size() < capacity) {
-      ring.push_back(e);
-      head = ring.size() % capacity;
-    } else {
-      ring[head] = e;
-      head = (head + 1) % capacity;
-      ++overwritten;
-    }
-  }
-};
-
-struct Tracer::Registry {
-  mutable Mutex mutex;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers SZP_GUARDED_BY(mutex);
-  std::uint32_t next_tid SZP_GUARDED_BY(mutex) = 0;
-  std::size_t ring_capacity SZP_GUARDED_BY(mutex) = 1u << 15;
-};
 
 Tracer& Tracer::instance() {
   static Tracer* t = new Tracer();  // leaked: usable from exit handlers
   return *t;
 }
 
-Tracer::Registry& Tracer::registry() const {
-  static Registry* r = new Registry();
-  return *r;
+void Span::open(bool request, const char* cat, const char* name,
+                const char* arg1_name, std::uint64_t arg1,
+                const char* arg2_name, std::uint64_t arg2) {
+  active_ = true;
+  request_ = request;
+  std::construct_at(&e_);
+  e_.cat = cat;
+  e_.name = name;
+  e_.arg1_name = arg1_name;
+  e_.arg1 = arg1;
+  e_.arg2_name = arg2_name;
+  e_.arg2 = arg2;
+  e_.ts_ns = now_ns();
+  e_.trace_id = current_trace_id();
+  if (!request) return;
+  Lane& lane = local_lane();
+  const std::uint32_t d = lane.span_depth.load(std::memory_order_relaxed);
+  if (d < kMaxSpanDepth) {
+    lane.span_stack[d].store(name, std::memory_order_relaxed);
+  }
+  lane.span_depth.store(d + 1, std::memory_order_release);
+  Event begin = e_;
+  begin.kind = Kind::kSpanBegin;
+  push(begin, false);
 }
 
-void Tracer::set_ring_capacity(std::size_t events) {
-  Registry& reg = registry();
-  const LockGuard lock(reg.mutex);
-  reg.ring_capacity = std::max<std::size_t>(16, events);
-}
-
-std::size_t Tracer::ring_capacity() const {
-  Registry& reg = registry();
-  const LockGuard lock(reg.mutex);
-  return reg.ring_capacity;
+void Span::finish() {
+  active_ = false;
+  e_.dur_ns = now_ns() - e_.ts_ns;
+  e_.ph = Phase::kComplete;
+  if (request_) {
+    e_.kind = Kind::kSpanEnd;
+    Lane& lane = local_lane();
+    const std::uint32_t d = lane.span_depth.load(std::memory_order_relaxed);
+    if (d > 0) lane.span_depth.store(d - 1, std::memory_order_release);
+  }
+  push(e_, !request_ || tracing_enabled());
 }
 
 namespace {
-/// Marks the registry entry dead when the owning thread exits; the buffer
-/// itself stays registered (and exportable) until Tracer::clear().
-struct ThreadLocalHandle {
-  std::shared_ptr<Tracer::ThreadBuffer> buffer;
-  ~ThreadLocalHandle() {
-    if (buffer) {
-      const LockGuard lock(buffer->mutex);
-      buffer->alive = false;
+
+/// Lanes holding events of the current trace.
+template <class F>
+void for_each_traced_lane(F&& f) {
+  for (const Lane* l = lanes(); l != nullptr; l = l->next) {
+    if ((l->state.load(std::memory_order_acquire) & Lane::kTraceHold) != 0) {
+      f(*l);
     }
   }
-};
+}
+
 }  // namespace
 
-Tracer::ThreadBuffer& Tracer::local_buffer() {
-  thread_local ThreadLocalHandle handle;
-  if (!handle.buffer) {
-    auto buf = std::make_shared<ThreadBuffer>();
-    Registry& reg = registry();
-    const LockGuard lock(reg.mutex);
-    buf->tid = reg.next_tid++;
-    {
-      // Uncontended (the buffer is not yet published), but taking the
-      // buffer lock keeps the guarded-field discipline uniform. Lock
-      // order everywhere: registry mutex, then buffer mutex.
-      const LockGuard buf_lock(buf->mutex);
-      buf->capacity = reg.ring_capacity;
-      buf->ring.reserve(std::min<std::size_t>(buf->capacity, 1024));
-    }
-    reg.buffers.push_back(buf);
-    handle.buffer = std::move(buf);
-  }
-  return *handle.buffer;
-}
-
-void Tracer::record(const Event& e) { local_buffer().push(e); }
-
-void Tracer::set_thread_name(std::string name) {
-  ThreadBuffer& buf = local_buffer();
-  const LockGuard lock(buf.mutex);
-  buf.name = std::move(name);
-}
-
 std::vector<ThreadEvents> Tracer::collect() const {
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    const LockGuard lock(reg.mutex);
-    buffers = reg.buffers;
-  }
   std::vector<ThreadEvents> out;
-  out.reserve(buffers.size());
-  for (const auto& buf : buffers) {
-    const LockGuard lock(buf->mutex);
+  for_each_traced_lane([&](const Lane& l) {
     ThreadEvents te;
-    te.tid = buf->tid;
-    te.thread_name = buf->name;
-    te.overwritten = buf->overwritten;
-    te.events.reserve(buf->ring.size());
-    // Ring order: oldest first. When full, `head` is the oldest slot.
-    if (buf->ring.size() == buf->capacity) {
-      te.events.insert(te.events.end(), buf->ring.begin() +
-                       static_cast<std::ptrdiff_t>(buf->head),
-                       buf->ring.end());
-      te.events.insert(te.events.end(), buf->ring.begin(),
-                       buf->ring.begin() +
-                       static_cast<std::ptrdiff_t>(buf->head));
-    } else {
-      te.events = buf->ring;
+    te.tid = l.id;
+    te.thread_name = l.thread_name();
+    const std::uint64_t seq = l.seq.load(std::memory_order_acquire);
+    const std::uint64_t cap = l.cap.load(std::memory_order_relaxed);
+    std::uint64_t first = seq > cap ? seq - cap : 0;
+    std::vector<Event> copied;
+    copied.reserve(seq - first);
+    for (std::uint64_t i = first; i < seq; ++i) copied.push_back(l.load(i));
+    // Slots the owner began to overwrite while they were copied are
+    // dropped: event `head - 1` goes over event `head - 1 - cap`.
+    const std::uint64_t head = l.head.load(std::memory_order_relaxed);
+    const std::uint64_t exact = head > cap ? head - cap : 0;
+    const std::uint64_t skip = exact > first ? std::min(exact, seq) - first : 0;
+    first += skip;
+    te.overwritten = first;
+    for (std::uint64_t k = skip; k < copied.size(); ++k) {
+      if (copied[k].ph != Phase::kNone) te.events.push_back(copied[k]);
     }
     out.push_back(std::move(te));
-  }
+  });
+  std::sort(out.begin(), out.end(),
+            [](const ThreadEvents& a, const ThreadEvents& b) {
+              return a.tid < b.tid;
+            });
   return out;
 }
 
 std::size_t Tracer::event_count() const {
-  Registry& reg = registry();
-  const LockGuard lock(reg.mutex);
   std::size_t n = 0;
-  for (const auto& buf : reg.buffers) {
-    const LockGuard buf_lock(buf->mutex);
-    n += buf->ring.size();
-  }
+  for_each_traced_lane([&](const Lane& l) {
+    n += std::min(l.seq.load(std::memory_order_acquire),
+                  l.cap.load(std::memory_order_relaxed));
+  });
   return n;
 }
 
 std::uint64_t Tracer::dropped_events() const {
-  Registry& reg = registry();
-  const LockGuard lock(reg.mutex);
   std::uint64_t n = 0;
-  for (const auto& buf : reg.buffers) {
-    const LockGuard buf_lock(buf->mutex);
-    n += buf->overwritten;
-  }
+  for_each_traced_lane([&](const Lane& l) {
+    const std::uint64_t seq = l.seq.load(std::memory_order_acquire);
+    const std::uint64_t cap = l.cap.load(std::memory_order_relaxed);
+    if (seq > cap) n += seq - cap;
+  });
   return n;
-}
-
-void Tracer::clear() {
-  Registry& reg = registry();
-  const LockGuard lock(reg.mutex);
-  auto& v = reg.buffers;
-  v.erase(std::remove_if(v.begin(), v.end(),
-                         [](const std::shared_ptr<ThreadBuffer>& b) {
-                           const LockGuard bl(b->mutex);
-                           return !b->alive;
-                         }),
-          v.end());
-  for (const auto& buf : v) {
-    const LockGuard buf_lock(buf->mutex);
-    buf->ring.clear();
-    buf->ring.shrink_to_fit();
-    buf->head = 0;
-    buf->overwritten = 0;
-    buf->capacity = reg.ring_capacity;  // re-apply a changed capacity
-  }
 }
 
 namespace {
@@ -207,8 +134,7 @@ void flush_env_outputs() {
       if (dropped > 0) {
         SZP_LOG_WARN("obs",
                      "%llu events dropped to ring wrap-around; the trace "
-                     "has holes (raise the ring capacity or shorten the "
-                     "recording)",
+                     "has holes (shorten the recording)",
                      static_cast<unsigned long long>(dropped));
       }
     } else {

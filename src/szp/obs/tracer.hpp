@@ -2,8 +2,8 @@
 //
 // Complements gpusim::Trace (which *counts* bytes/ops for the perfmodel)
 // with *when* things happened: nestable RAII spans, instant events and
-// begin/end pairs, recorded into per-thread ring buffers with a wall
-// clock and a stable small thread id. The chrome_trace exporter turns a
+// begin/end pairs, recorded into the per-thread event lanes
+// (szp/obs/lane.hpp) with a wall clock and a stable small thread id. The chrome_trace exporter turns a
 // recording into Perfetto / chrome://tracing JSON where gpusim worker
 // threads appear as thread-block lanes.
 //
@@ -14,58 +14,15 @@
 // environment variable (see init_from_env).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "szp/obs/trace_id.hpp"
+#include "szp/obs/lane.hpp"
 
 namespace szp::obs {
 
-namespace detail {
-/// Global enable flag; inline so the fast-path check can be inlined into
-/// every instrumentation site.
-inline std::atomic<bool> g_tracing{false};
-}  // namespace detail
-
-/// The one-branch fast path: every event helper checks this first.
-[[nodiscard]] inline bool tracing_enabled() {
-  return detail::g_tracing.load(std::memory_order_relaxed);
-}
-
-/// Nanoseconds on a monotonic clock, relative to process start.
-[[nodiscard]] std::uint64_t now_ns();
-
-/// Chrome trace-event phases we emit (the exporter writes the letter).
-enum class Phase : char {
-  kComplete = 'X',  // span with ts + dur
-  kBegin = 'B',     // begin/end pair (matched by name, same thread)
-  kEnd = 'E',
-  kInstant = 'i',
-};
-
-/// One recorded event. Names and categories must be string literals (or
-/// otherwise outlive the tracer recording) — events store the pointer.
-struct Event {
-  const char* name = "";
-  const char* cat = "";
-  Phase ph = Phase::kComplete;
-  std::uint64_t ts_ns = 0;
-  std::uint64_t dur_ns = 0;  // kComplete only
-  // Up to two optional numeric args (arg name nullptr = absent).
-  const char* arg1_name = nullptr;
-  std::uint64_t arg1 = 0;
-  const char* arg2_name = nullptr;
-  std::uint64_t arg2 = 0;
-  // Request identity captured from current_trace_id() at record time
-  // (0 = none). The chrome_trace exporter links spans sharing a flow id
-  // across threads with flow events.
-  std::uint64_t flow_id = 0;
-};
-
-/// Per-thread ring buffer snapshot returned by Tracer::collect().
+/// One lane's trace events, returned by Tracer::collect().
 struct ThreadEvents {
   std::uint32_t tid = 0;
   std::string thread_name;
@@ -73,82 +30,62 @@ struct ThreadEvents {
   std::vector<Event> events;     // in recording order
 };
 
-/// Process-wide tracer. Threads register a ring buffer lazily on their
-/// first event; buffers survive thread exit until clear() so that the
+/// The tracer's view of the lanes: the lanes holding events of the
+/// current trace, which survive thread exit until clear() so that the
 /// short-lived gpusim worker threads keep their lanes in the export.
 class Tracer {
  public:
   static Tracer& instance();
 
-  void set_enabled(bool on) {
-    detail::g_tracing.store(on, std::memory_order_relaxed);
-  }
+  void set_enabled(bool on) { set_observer(detail::kTracing, on); }
   [[nodiscard]] bool enabled() const { return tracing_enabled(); }
 
-  /// Ring capacity (events per thread) applied to buffers registered
-  /// after the call, and to existing buffers at the next clear().
-  /// Minimum 16.
-  void set_ring_capacity(std::size_t events);
-  [[nodiscard]] std::size_t ring_capacity() const;
+  /// Record a trace event into the calling thread's lane. The enabled
+  /// check is the caller's job (the Span/instant helpers do it).
+  void record(const Event& e) { push(e, true); }
 
-  /// Record into the calling thread's ring. The enabled check is the
-  /// caller's job (the Span/instant helpers do it); record() itself
-  /// always stores.
-  void record(const Event& e);
-
-  /// Label the calling thread in exported traces (e.g. "gpusim-worker").
-  void set_thread_name(std::string name);
-
-  /// Snapshot every thread's ring (including exited threads').
+  /// Snapshot every lane of the current trace (exited threads' too).
+  /// Exact under concurrent pushes: a slot the owner overwrote while it
+  /// was copied is dropped and counted as overwritten.
   [[nodiscard]] std::vector<ThreadEvents> collect() const;
 
-  /// Total events currently held across all rings.
+  /// Total events currently held in the current trace's lanes.
   [[nodiscard]] std::size_t event_count() const;
 
-  /// Total events lost to ring wrap-around across all rings since the
-  /// last clear(). Nonzero means exported traces have holes — raise the
-  /// capacity with set_ring_capacity() (or shorten the recording).
+  /// Events lost to ring wrap-around in the current trace's lanes since
+  /// the last clear(). Nonzero means exported traces have holes.
   [[nodiscard]] std::uint64_t dropped_events() const;
 
-  /// Drop all recorded events and forget buffers of exited threads.
-  void clear();
-
-  // Implementation details (public so the thread-local registration
-  // helper in tracer.cpp can hold a shared_ptr to its buffer).
-  struct ThreadBuffer;
-  struct Registry;
+  /// Drop all recorded events and release exited threads' lanes.
+  void clear() { clear_lanes(); }
 
  private:
   Tracer() = default;
-  [[nodiscard]] ThreadBuffer& local_buffer();
-
-  Registry& registry() const;
 };
 
 // ------------------------------------------------------------ helpers ----
 
-/// RAII complete-span ('X'): clocks construction..destruction.
+/// Tag for request-tier spans: the API entry points and pipeline jobs.
+/// They record whenever the flight recorder or the tracer is on, and keep
+/// the per-lane active-span stack the crash handler reports.
+struct RequestTier {};
+inline constexpr RequestTier kRequest{};
+
+/// RAII complete-span ('X'): clocks construction..destruction. A plain
+/// span records only while tracing; a request-tier span also records a
+/// span_begin event and while only the flight recorder is on.
 class Span {
  public:
-  Span(const char* cat, const char* name) {
-    if (tracing_enabled()) open(cat, name);
+  Span(const char* cat, const char* name, const char* arg1_name = nullptr,
+       std::uint64_t arg1 = 0, const char* arg2_name = nullptr,
+       std::uint64_t arg2 = 0) {
+    if (tracing_enabled()) open(false, cat, name, arg1_name, arg1, arg2_name,
+                                arg2);
   }
-  Span(const char* cat, const char* name, const char* arg1_name,
-       std::uint64_t arg1) {
-    if (tracing_enabled()) {
-      open(cat, name);
-      e_.arg1_name = arg1_name;
-      e_.arg1 = arg1;
-    }
-  }
-  Span(const char* cat, const char* name, const char* arg1_name,
-       std::uint64_t arg1, const char* arg2_name, std::uint64_t arg2) {
-    if (tracing_enabled()) {
-      open(cat, name);
-      e_.arg1_name = arg1_name;
-      e_.arg1 = arg1;
-      e_.arg2_name = arg2_name;
-      e_.arg2 = arg2;
+  Span(RequestTier, const char* cat, const char* name,
+       const char* arg1_name = nullptr, std::uint64_t arg1 = 0) {
+    if ((observers() & (detail::kTracing | detail::kRecording)) != 0) {
+      open(true, cat, name, arg1_name, arg1, nullptr, 0);
     }
   }
   Span(const Span&) = delete;
@@ -157,23 +94,20 @@ class Span {
 
   /// End the span before scope exit (idempotent).
   void close() {
-    if (!active_) return;
-    active_ = false;
-    e_.dur_ns = now_ns() - e_.ts_ns;
-    Tracer::instance().record(e_);
+    if (active_) finish();
   }
 
  private:
-  void open(const char* cat, const char* name) {
-    active_ = true;
-    e_.cat = cat;
-    e_.name = name;
-    e_.ph = Phase::kComplete;
-    e_.ts_ns = now_ns();
-    e_.flow_id = current_trace_id();
-  }
+  void open(bool request, const char* cat, const char* name,
+            const char* arg1_name, std::uint64_t arg1, const char* arg2_name,
+            std::uint64_t arg2);
+  void finish();
+
   bool active_ = false;
-  Event e_;
+  bool request_ = false;
+  union {
+    Event e_;  // constructed by open(): a disabled span stores nothing
+  };
 };
 
 /// RAII begin/end pair ('B'/'E') — used for long-lived phases (kernel
@@ -194,7 +128,7 @@ class BeginEndSpan {
     e.ts_ns = now_ns();
     e.arg1_name = arg1_name;
     e.arg1 = arg1;
-    e.flow_id = current_trace_id();
+    e.trace_id = current_trace_id();
     Tracer::instance().record(e);
   }
   BeginEndSpan(const char* cat, const char* name)
@@ -208,7 +142,7 @@ class BeginEndSpan {
     e.name = name_;
     e.ph = Phase::kEnd;
     e.ts_ns = now_ns();
-    e.flow_id = current_trace_id();
+    e.trace_id = current_trace_id();
     Tracer::instance().record(e);
   }
 
@@ -232,7 +166,7 @@ inline void instant(const char* cat, const char* name,
   e.arg1 = arg1;
   e.arg2_name = arg2_name;
   e.arg2 = arg2;
-  e.flow_id = current_trace_id();
+  e.trace_id = current_trace_id();
   Tracer::instance().record(e);
 }
 
@@ -253,13 +187,8 @@ inline void complete(const char* cat, const char* name, std::uint64_t ts_ns,
   e.arg1 = arg1;
   e.arg2_name = arg2_name;
   e.arg2 = arg2;
-  e.flow_id = current_trace_id();
+  e.trace_id = current_trace_id();
   Tracer::instance().record(e);
-}
-
-inline void set_thread_name(std::string name) {
-  if (!tracing_enabled()) return;
-  Tracer::instance().set_thread_name(std::move(name));
 }
 
 /// Process the SZP_TRACE / SZP_STATS environment variables once:

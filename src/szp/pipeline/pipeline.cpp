@@ -4,9 +4,9 @@
 
 #include "szp/gpusim/stream.hpp"
 #include "szp/obs/log.hpp"
-#include "szp/obs/telemetry/flight_recorder.hpp"
 #include "szp/obs/telemetry/telemetry.hpp"
 #include "szp/obs/trace_id.hpp"
+#include "szp/obs/tracer.hpp"
 
 namespace szp::pipeline {
 
@@ -82,7 +82,7 @@ std::vector<SnapshotResult> InlinePipeline::finish() {
 }
 
 void InlinePipeline::worker_loop() {
-  obs::fr::set_thread_name("pipeline-worker");
+  obs::set_thread_name("pipeline-worker");
   // One engine per worker: with the device backend that is one simulated
   // device per worker, as a multi-GPU node would have; with the host
   // backends, one scratch pool (and thread pool) per worker.
@@ -158,7 +158,7 @@ void InlinePipeline::worker_loop() {
     // below adopts it, so stream ops and log records stay attributable
     // to this snapshot.
     const obs::TraceIdScope trace(job.trace_id);
-    const obs::fr::Span rec("pipeline.job");
+    const obs::Span span(obs::kRequest, "pipeline", "job");
     try {
       if (lanes > 0) {
         const unsigned lane = next_lane;

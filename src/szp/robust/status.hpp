@@ -25,7 +25,7 @@ enum class Status : std::uint8_t {
   kBadLengthByte,        // a length byte no encoder can produce
   kFooterMissing,        // v2 stream whose checksum footer is unusable
   kChecksumMismatch,     // one or more group CRCs failed
-  kSizeMismatch,         // stream extents disagree with the footer layout
+  kSizeMismatch,         // stream extents disagree with the header or footer
   kInternalError,        // unexpected failure (never expected; reported,
                          // not thrown)
 };

@@ -167,6 +167,9 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
                                : "payload truncated at block ") +
                    std::to_string(s.end);
       mark_corrupt(s.end, nblocks);
+    } else if (base + s.bytes != stream.size()) {
+      rep.status = Status::kSizeMismatch;
+      rep.detail = "bytes after the last block";
     }
     return finish();
   }

@@ -18,7 +18,8 @@ namespace {
 
 using namespace szp;
 
-std::vector<byte_t> make_v2_stream(std::vector<float>* data_out = nullptr) {
+std::vector<byte_t> make_stream(unsigned checksum_group_blocks,
+                                std::vector<float>* data_out = nullptr) {
   std::vector<float> data(600);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = std::cos(0.05 * static_cast<double>(i)) * 3.0f;
@@ -26,9 +27,13 @@ std::vector<byte_t> make_v2_stream(std::vector<float>* data_out = nullptr) {
   core::Params p;
   p.mode = core::ErrorMode::kAbs;
   p.error_bound = 1e-3;
-  p.checksum_group_blocks = 4;
+  p.checksum_group_blocks = checksum_group_blocks;
   if (data_out != nullptr) *data_out = data;
   return core::compress_serial(data, p);
+}
+
+std::vector<byte_t> make_v2_stream(std::vector<float>* data_out = nullptr) {
+  return make_stream(4, data_out);
 }
 
 TEST(TruncationSweep, SerialDecodeThrowsAtEveryByte) {
@@ -55,22 +60,39 @@ TEST(TruncationSweep, RangeDecodeThrowsAtEveryByte) {
 }
 
 TEST(TruncationSweep, AppendedByteIsRejectedByEveryDecoder) {
-  // A v2 stream ends at its footer: every throwing decoder rejects the
-  // same byte strings.
-  auto stream = make_v2_stream();
-  for (const auto kind :
-       {engine::BackendKind::kSerial, engine::BackendKind::kParallelHost,
-        engine::BackendKind::kDevice}) {
-    engine::Engine eng({.backend = kind, .threads = 4});
-    EXPECT_NO_THROW((void)eng.decompress(stream));
+  // A v2 stream ends at its footer and a v1 stream at its last payload
+  // byte: every throwing decoder rejects the same byte strings, and so
+  // does try_decompress for v1. A v1 range decode finds the end only when
+  // its range reaches the last block.
+  for (const unsigned group_blocks : {4u, 0u}) {
+    SCOPED_TRACE(group_blocks);
+    auto stream = make_stream(group_blocks);
+    for (const auto kind :
+         {engine::BackendKind::kSerial, engine::BackendKind::kParallelHost,
+          engine::BackendKind::kDevice}) {
+      engine::Engine eng({.backend = kind, .threads = 4});
+      EXPECT_NO_THROW((void)eng.decompress(stream));
+      stream.push_back(0);
+      EXPECT_THROW((void)eng.decompress(stream), format_error)
+          << engine::backend_name(kind);
+      stream.pop_back();
+    }
+    EXPECT_NO_THROW((void)core::decompress_range(stream, 500, 600));
     stream.push_back(0);
-    EXPECT_THROW((void)eng.decompress(stream), format_error)
-        << engine::backend_name(kind);
-    stream.pop_back();
+    EXPECT_THROW((void)core::decompress_range(stream, 500, 600),
+                 format_error);
+    if (group_blocks > 0) {
+      EXPECT_THROW((void)core::decompress_range(stream, 50, 250),
+                   format_error);
+      EXPECT_THROW((void)core::decompress_range(stream, 0, 0), format_error);
+    } else {
+      std::vector<float> out;
+      EXPECT_EQ(robust::try_decompress(stream, out, {}).status,
+                robust::Status::kSizeMismatch);
+      stream.pop_back();
+      EXPECT_TRUE(robust::try_decompress(stream, out, {}).ok());
+    }
   }
-  stream.push_back(0);
-  EXPECT_THROW((void)core::decompress_range(stream, 50, 250), format_error);
-  EXPECT_THROW((void)core::decompress_range(stream, 0, 0), format_error);
 }
 
 // Golden v1 stream captured from the encoder before the integrity footer

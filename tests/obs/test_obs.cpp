@@ -1,6 +1,7 @@
 // Unit tests for the span tracer and the metrics registry.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -23,7 +24,6 @@ class TracerTest : public ::testing::Test {
   void TearDown() override {
     obs::Tracer::instance().set_enabled(false);
     obs::Tracer::instance().clear();
-    obs::Tracer::instance().set_ring_capacity(1 << 15);
   }
 };
 
@@ -74,24 +74,25 @@ TEST_F(TracerTest, BeginEndSpanEmitsPair) {
 }
 
 TEST_F(TracerTest, RingWrapCountsOverwrittenEvents) {
-  obs::Tracer::instance().set_ring_capacity(16);
-  obs::Tracer::instance().clear();  // re-applies capacity to this thread
-  for (int i = 0; i < 40; ++i) obs::instant("cat", "tick");
+  for (size_t i = 0; i < obs::kTracingCapacity + 24; ++i) {
+    obs::instant("cat", "tick");
+  }
   const auto threads = obs::Tracer::instance().collect();
   ASSERT_EQ(threads.size(), 1u);
-  EXPECT_EQ(threads[0].events.size(), 16u);
+  EXPECT_EQ(threads[0].events.size(), obs::kTracingCapacity);
   EXPECT_EQ(threads[0].overwritten, 24u);
 }
 
 TEST_F(TracerTest, EventsComeOutInRecordingOrderAfterWrap) {
-  obs::Tracer::instance().set_ring_capacity(16);
-  obs::Tracer::instance().clear();
-  for (std::uint64_t i = 0; i < 20; ++i) obs::instant("cat", "tick", "i", i);
+  for (std::uint64_t i = 0; i < obs::kTracingCapacity + 4; ++i) {
+    obs::instant("cat", "tick", "i", i);
+  }
   const auto threads = obs::Tracer::instance().collect();
   ASSERT_EQ(threads.size(), 1u);
-  ASSERT_EQ(threads[0].events.size(), 16u);
-  for (size_t k = 0; k < 16; ++k) {
-    EXPECT_EQ(threads[0].events[k].arg1, 4 + k);  // oldest surviving first
+  ASSERT_EQ(threads[0].events.size(), obs::kTracingCapacity);
+  for (size_t k = 0; k < obs::kTracingCapacity; ++k) {
+    // Oldest surviving first.
+    ASSERT_EQ(threads[0].events[k].arg1, 4 + k) << k;
   }
 }
 
@@ -113,6 +114,36 @@ TEST_F(TracerTest, BuffersOfExitedThreadsSurviveUntilClear) {
   EXPECT_TRUE(found);
   obs::Tracer::instance().clear();
   EXPECT_EQ(obs::Tracer::instance().event_count(), 0u);
+}
+
+TEST_F(TracerTest, CollectRacingAWriterReturnsOnlyWholeEvents) {
+  // The writer wraps its ring many times while the reader collects; the
+  // k-th collected event must be exactly event number overwritten + k,
+  // whole (its two args written together).
+  constexpr std::uint64_t kEvents = std::uint64_t{1} << 21;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    obs::set_thread_name("racer");
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      obs::instant("race", "tick", "i", i, "not_i", ~i);
+    }
+    done.store(true);
+  });
+  int collects = 0;
+  do {
+    for (const auto& t : obs::Tracer::instance().collect()) {
+      if (t.thread_name != "racer") continue;
+      ++collects;
+      for (size_t k = 0; k < t.events.size(); ++k) {
+        const obs::Event& e = t.events[k];
+        ASSERT_STREQ(e.name, "tick");
+        ASSERT_EQ(e.arg1, t.overwritten + k);
+        ASSERT_EQ(e.arg2, ~e.arg1);
+      }
+    }
+  } while (!done.load());
+  writer.join();
+  RecordProperty("collects", collects);
 }
 
 TEST_F(TracerTest, ThreadsGetDistinctTids) {

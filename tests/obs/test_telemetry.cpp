@@ -83,17 +83,17 @@ TEST(FlightRecorder, DisabledByDefaultAndRecordsNothing) {
   ASSERT_FALSE(obs::fr::recording_enabled());
   const std::uint64_t before = obs::fr::event_count();
   obs::fr::record(obs::fr::Kind::kKernel, "noop");
-  { const obs::fr::Span s("noop"); }
+  { const obs::Span s(obs::kRequest, "test", "noop"); }
   EXPECT_EQ(obs::fr::event_count(), before);
 }
 
 TEST(FlightRecorder, DumpSchemaParsesAndCarriesEvents) {
   const RecorderOn on;
   const obs::TraceIdScope trace(obs::next_trace_id());
-  obs::fr::set_thread_name("telemetry-test");
+  obs::set_thread_name("telemetry-test");
   obs::fr::record(obs::fr::Kind::kKernel, "fr_test_kernel", 42, 7);
   {
-    const obs::fr::Span s("fr_test_span");
+    const obs::Span s(obs::kRequest, "test", "fr_test_span");
     obs::fr::record(obs::fr::Kind::kFault, "fr_test_fault", 3);
   }
 
@@ -170,8 +170,8 @@ TEST(FlightRecorder, WrapAroundCountsDroppedEvents) {
   // A dedicated thread owns a fresh (or at least freshly cleared) ring,
   // so the drop count is exact.
   std::thread([] {
-    obs::fr::set_thread_name("wraptest");
-    for (std::size_t i = 0; i < obs::fr::kRingCapacity + 10; ++i) {
+    obs::set_thread_name("wraptest");
+    for (std::size_t i = 0; i < obs::kRecordingCapacity + 10; ++i) {
       obs::fr::record(obs::fr::Kind::kLog, "wrap_probe", i);
     }
   }).join();
@@ -184,7 +184,7 @@ TEST(FlightRecorder, WrapAroundCountsDroppedEvents) {
     if (t.find("name")->str != "wraptest") continue;
     found = true;
     EXPECT_EQ(t.find("dropped")->num, 10);
-    EXPECT_EQ(t.find("events")->arr.size(), obs::fr::kRingCapacity);
+    EXPECT_EQ(t.find("events")->arr.size(), obs::kRecordingCapacity);
     // Oldest events were overwritten: the first retained one is #10.
     EXPECT_EQ(t.find("events")->arr.front().find("a")->num, 10);
     EXPECT_FALSE(t.find("alive")->b);
@@ -193,14 +193,36 @@ TEST(FlightRecorder, WrapAroundCountsDroppedEvents) {
   EXPECT_GE(obs::fr::dropped_events(), 10u);
 }
 
+TEST(FlightRecorder, ShortLivedThreadsReuseOneLane) {
+  // Recorder on, tracer off: a thread's lane is free again once it
+  // exits, so a stream of short-lived threads, each joined before the
+  // next starts, needs at most one lane beyond those already listed.
+  const RecorderOn on;
+  ASSERT_FALSE(obs::tracing_enabled());
+  const auto lanes_listed = [] {
+    std::ostringstream os;
+    obs::fr::write_json(os);
+    return parse_json(os.str()).find("threads")->arr.size();
+  };
+  const std::size_t before = lanes_listed();
+  for (int t = 0; t < 256; ++t) {
+    std::thread([t] {
+      obs::fr::record(obs::fr::Kind::kLog, "churn",
+                      static_cast<std::uint64_t>(t));
+    }).join();
+  }
+  EXPECT_LE(lanes_listed(), before + 1);
+}
+
 TEST(FlightRecorder, DeepSpanNestingIsBoundedButBalanced) {
   const RecorderOn on;
-  constexpr std::size_t kDepth = obs::fr::kMaxSpanDepth + 4;
+  constexpr std::size_t kDepth = obs::kMaxSpanDepth + 4;
   std::thread([] {
-    obs::fr::set_thread_name("deepspans");
-    std::vector<std::unique_ptr<obs::fr::Span>> spans;
+    obs::set_thread_name("deepspans");
+    std::vector<std::unique_ptr<obs::Span>> spans;
     for (std::size_t i = 0; i < kDepth; ++i) {
-      spans.push_back(std::make_unique<obs::fr::Span>("deep"));
+      spans.push_back(
+          std::make_unique<obs::Span>(obs::kRequest, "test", "deep"));
     }
     // Mid-flight the dump shows at most kMaxSpanDepth names.
     std::ostringstream os;
@@ -208,7 +230,7 @@ TEST(FlightRecorder, DeepSpanNestingIsBoundedButBalanced) {
     const JsonValue doc = JsonParser(os.str()).parse();
     for (const JsonValue& t : doc.find("threads")->arr) {
       if (t.find("name")->str != "deepspans") continue;
-      EXPECT_EQ(t.find("active_spans")->arr.size(), obs::fr::kMaxSpanDepth);
+      EXPECT_EQ(t.find("active_spans")->arr.size(), obs::kMaxSpanDepth);
     }
     spans.clear();  // unwind; depth must return to zero
     std::ostringstream os2;
@@ -578,7 +600,7 @@ void arm_crash_scenario(const std::string& dir) {
   opts.dir = dir;
   if (!obs::crash::install(opts)) std::_Exit(97);
   obs::fr::set_enabled(true);
-  obs::fr::set_thread_name("crash-victim");
+  obs::set_thread_name("crash-victim");
   obs::fr::record(obs::fr::Kind::kKernel, "pre_crash_kernel", 11);
 }
 
@@ -625,7 +647,7 @@ TEST(CrashBundleDeathTest, SegvWritesSchemaValidBundle) {
   EXPECT_EXIT(
       {
         arm_crash_scenario(dir);
-        const obs::fr::Span doomed("doomed_request");
+        const obs::Span doomed(obs::kRequest, "test", "doomed_request");
         std::raise(SIGSEGV);
       },
       ::testing::KilledBySignal(SIGSEGV), "");
@@ -638,7 +660,7 @@ TEST(CrashBundleDeathTest, AbortWritesSchemaValidBundle) {
   EXPECT_EXIT(
       {
         arm_crash_scenario(dir);
-        const obs::fr::Span doomed("doomed_request");
+        const obs::Span doomed(obs::kRequest, "test", "doomed_request");
         std::abort();
       },
       ::testing::KilledBySignal(SIGABRT), "");
@@ -651,7 +673,7 @@ TEST(CrashBundleDeathTest, UnhandledExceptionWritesBundle) {
   EXPECT_EXIT(
       {
         arm_crash_scenario(dir);
-        const obs::fr::Span doomed("doomed_request");
+        const obs::Span doomed(obs::kRequest, "test", "doomed_request");
         const auto boom = []() noexcept {
           throw std::runtime_error("unhandled");
         };
@@ -663,7 +685,7 @@ TEST(CrashBundleDeathTest, UnhandledExceptionWritesBundle) {
 
 TEST(CrashBundle, ManualBundleIncludesMetricsSection) {
   const RecorderOn on;
-  obs::fr::set_thread_name("crash-victim");
+  obs::set_thread_name("crash-victim");
   obs::fr::record(obs::fr::Kind::kKernel, "pre_crash_kernel", 11);
   const std::string dir = fresh_dir("manual");
   // install() so the env manifest is captured; no crash follows.
@@ -672,7 +694,7 @@ TEST(CrashBundle, ManualBundleIncludesMetricsSection) {
   ASSERT_TRUE(obs::crash::install(opts));
   const std::string path = dir + "/manual_bundle.json";
   {
-    const obs::fr::Span doomed("doomed_request");
+    const obs::Span doomed(obs::kRequest, "test", "doomed_request");
     ASSERT_TRUE(obs::crash::write_bundle_file(path, "recovery_suite"));
   }
   const JsonValue doc = parse_json(read_file(path));
@@ -696,7 +718,7 @@ TEST(TelemetryOverhead, DisabledRecorderSitesAreBranchCheap) {
   for (int i = 0; i < kIters; ++i) {
     obs::fr::record(obs::fr::Kind::kKernel, "bench",
                     static_cast<std::uint64_t>(i));
-    const obs::fr::Span s("bench");
+    const obs::Span s(obs::kRequest, "test", "bench");
   }
   const auto dt = Clock::now() - t0;
   const double ns =

@@ -19,28 +19,27 @@ using testsupport::JsonValue;
 class TracerDropsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    default_capacity_ = obs::Tracer::instance().ring_capacity();
-    obs::Tracer::instance().set_ring_capacity(16);
-    obs::Tracer::instance().clear();  // re-applies the new capacity
+    obs::Tracer::instance().clear();
     obs::Tracer::instance().set_enabled(true);
   }
   void TearDown() override {
     obs::Tracer::instance().set_enabled(false);
-    obs::Tracer::instance().set_ring_capacity(default_capacity_);
     obs::Tracer::instance().clear();
   }
 
-  std::size_t default_capacity_ = 0;
+  /// Fill the calling thread's ring and wrap it by `extra` events.
+  static void overflow_by(std::size_t extra) {
+    for (std::size_t i = 0; i < obs::kTracingCapacity + extra; ++i) {
+      obs::instant("test", "overflow", "i", i);
+    }
+  }
 };
 
 TEST_F(TracerDropsTest, OverflowIsCountedAndSurvivesCollect) {
   EXPECT_EQ(obs::Tracer::instance().dropped_events(), 0u);
-  constexpr int kEvents = 100;  // > ring capacity of 16
-  for (int i = 0; i < kEvents; ++i) {
-    obs::instant("test", "overflow", "i", static_cast<std::uint64_t>(i));
-  }
+  overflow_by(84);
   const std::uint64_t dropped = obs::Tracer::instance().dropped_events();
-  EXPECT_EQ(dropped, static_cast<std::uint64_t>(kEvents) - 16u);
+  EXPECT_EQ(dropped, 84u);
 
   // collect() reports the same loss per thread.
   std::uint64_t collected_dropped = 0;
@@ -50,7 +49,7 @@ TEST_F(TracerDropsTest, OverflowIsCountedAndSurvivesCollect) {
     collected_events += te.events.size();
   }
   EXPECT_EQ(collected_dropped, dropped);
-  EXPECT_EQ(collected_events, 16u);
+  EXPECT_EQ(collected_events, obs::kTracingCapacity);
 
   // clear() resets the loss counter with the rings.
   obs::Tracer::instance().clear();
@@ -58,7 +57,7 @@ TEST_F(TracerDropsTest, OverflowIsCountedAndSurvivesCollect) {
 }
 
 TEST_F(TracerDropsTest, MetricsJsonReportsTracerDrops) {
-  for (int i = 0; i < 40; ++i) obs::instant("test", "overflow");
+  overflow_by(24);
   ASSERT_GT(obs::Tracer::instance().dropped_events(), 0u);
 
   std::ostringstream os;
@@ -83,7 +82,7 @@ TEST_F(TracerDropsTest, MetricsTextWarnsOnDrops) {
     EXPECT_EQ(os.str().find("tracer.dropped_events"), std::string::npos)
         << "no drops yet, no warning expected";
   }
-  for (int i = 0; i < 40; ++i) obs::instant("test", "overflow");
+  overflow_by(24);
   std::ostringstream os;
   obs::Registry::instance().write_text(os);
   EXPECT_NE(os.str().find("tracer.dropped_events"), std::string::npos);

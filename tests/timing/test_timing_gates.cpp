@@ -1,8 +1,10 @@
-// Wall-clock gates. Each compares two postures of the same work on the
-// same machine: the reps alternate between the two sides and each side
-// keeps its best of 21, so host drift hits both equally. The binary is
-// registered RUN_SERIAL, since a concurrent test would steal cycles from
-// one side only.
+// Wall-clock gates. Each times two postures of the same work on the same
+// machine: the reps alternate between the two sides and each side keeps
+// its best of 21, so host drift hits both equally. The async gate
+// compares the two walls; the telemetry gate reports them and gates the
+// recorder's measured per-call cost against the "off" wall. The binary
+// is registered RUN_SERIAL, since a concurrent test would steal cycles
+// from one side only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include "szp/obs/log.hpp"
 #include "szp/obs/telemetry/crash_handler.hpp"
 #include "szp/obs/telemetry/flight_recorder.hpp"
+#include "szp/obs/tracer.hpp"
 
 namespace szp {
 namespace {
@@ -90,10 +93,14 @@ TEST(TimingGate, AsyncBatchWallBelowSyncWall) {
 
 TEST(TimingGate, AlwaysOnTelemetryCostsUnderTwoPercent) {
   // Serial compress+decompress roundtrips of HACC vx at field scale 2.5
-  // (10 MB) with all telemetry off, against the always-on posture that
-  // SZP_TELEMETRY=1 enables: flight recorder, builtin counters, crash
-  // handler installed and info-level logging. The metrics registry's
-  // per-block instruments are the SZP_STATS deep tier, not part of it.
+  // (10 MB) in the always-on posture that SZP_TELEMETRY=1 enables: flight
+  // recorder, builtin counters, crash handler installed and info-level
+  // logging. The metrics registry's per-block instruments are the
+  // SZP_STATS deep tier, not part of it. Of these only the recorder does
+  // work per call, so the gate is the roundtrip's recorder events — a
+  // deterministic count — times the measured cost of one event, against
+  // the roundtrip's wall with telemetry off. The on/off walls themselves
+  // are only reported: on a shared host their noise exceeds 2%.
   constexpr size_t kStreamBytes = 2057825;  // ratio 4.8595
   const data::Field field = data::make_field(data::Suite::kHacc, 0, 2.5);
   ASSERT_EQ(field.count(), 2'500'000u);
@@ -112,28 +119,55 @@ TEST(TimingGate, AlwaysOnTelemetryCostsUnderTwoPercent) {
   };
   const obs::crash::Options crash{.dir = ::testing::TempDir() +
                                          "szp_timing_gate_crash"};
+  const auto telemetry = [&](bool on) {
+    obs::fr::set_enabled(on);
+    if (on) {
+      obs::Logger::instance().set_level(obs::LogLevel::kInfo);
+      ASSERT_TRUE(obs::crash::install(crash));
+    }
+  };
 
   (void)roundtrip();  // buffers and page faults, outside both sides
   double off_s = 1e30;
   double on_s = 1e30;
-  const std::uint64_t events_before = obs::fr::event_count();
+  std::vector<std::uint64_t> events;  // recorder events per "on" roundtrip
   for (int rep = 0; rep < kReps; ++rep) {
-    obs::fr::set_enabled(false);
+    telemetry(false);
     off_s = std::min(off_s, roundtrip());
 
-    obs::fr::set_enabled(true);
-    obs::Logger::instance().set_level(obs::LogLevel::kInfo);
-    ASSERT_TRUE(obs::crash::install(crash));
+    telemetry(true);
+    const std::uint64_t before = obs::fr::event_count();
     on_s = std::min(on_s, roundtrip());
+    events.push_back(obs::fr::event_count() - before);
   }
-  obs::fr::set_enabled(false);
 
-  EXPECT_GT(obs::fr::event_count(), events_before);
-  const double overhead_pct = 100.0 * (on_s - off_s) / off_s;
+  // The cost of one event: request-tier spans (a span_begin and a
+  // span_end push each, what the engine's entry points record), timed
+  // for at least 20 ms.
+  std::uint64_t probe_events = 0;
+  const std::uint64_t probe0 = obs::fr::event_count();
+  const auto t0 = Clock::now();
+  do {
+    for (int i = 0; i < 64; ++i) {
+      const obs::Span probe(obs::kRequest, "timing", "probe");
+    }
+    probe_events = obs::fr::event_count() - probe0;
+  } while (seconds_since(t0) < 0.02);
+  const double ns_per_event =
+      seconds_since(t0) * 1e9 / static_cast<double>(probe_events);
+  telemetry(false);
+
+  ASSERT_GT(events.front(), 0u);
+  for (const std::uint64_t e : events) EXPECT_EQ(e, events.front());
+  const double cost_share =
+      static_cast<double>(events.front()) * ns_per_event / (off_s * 1e9);
+  RecordProperty("events_per_roundtrip", std::to_string(events.front()));
+  RecordProperty("ns_per_event", std::to_string(ns_per_event));
   RecordProperty("off_wall_s", std::to_string(off_s));
   RecordProperty("on_wall_s", std::to_string(on_s));
-  EXPECT_LT(overhead_pct, 2.0) << "off " << off_s << " s, on " << on_s
-                               << " s";
+  EXPECT_LT(cost_share, 0.02)
+      << events.front() << " events x " << ns_per_event << " ns against "
+      << off_s << " s off (on/off walls " << on_s << " / " << off_s << " s)";
 }
 
 }  // namespace
