@@ -146,32 +146,57 @@ void ChecksumFooter::serialize(std::span<byte_t> out) const {
   std::copy(b.begin(), b.end(), out.begin());
 }
 
-ChecksumFooter ChecksumFooter::deserialize(std::span<const byte_t> in) {
-  if (in.size() < kFixedBytes) {
+ChecksumFooterView::ChecksumFooterView(std::span<const byte_t> in) {
+  if (in.size() < ChecksumFooter::kFixedBytes) {
     throw format_error("ChecksumFooter: truncated");
   }
   ByteReader r(in);
-  if (r.get<std::uint32_t>() != kMagic) {
+  if (r.get<std::uint32_t>() != ChecksumFooter::kMagic) {
     throw format_error("ChecksumFooter: bad magic");
   }
-  ChecksumFooter f;
-  f.group_blocks = r.get<std::uint32_t>();
-  const auto groups = r.get<std::uint32_t>();
-  const size_t total = bytes_for(groups);
+  group_blocks_ = r.get<std::uint32_t>();
+  groups_ = r.get<std::uint32_t>();
+  const size_t total = ChecksumFooter::bytes_for(groups_);
   if (in.size() < total) throw format_error("ChecksumFooter: truncated");
   std::uint32_t stored;
   std::memcpy(&stored, in.data() + total - 4, sizeof(stored));
   if (stored != crc32c(in.first(total - 4))) {
     throw format_error("ChecksumFooter: footer checksum mismatch");
   }
-  f.offsets.reserve(groups);
-  f.crcs.reserve(groups);
-  for (std::uint32_t g = 0; g < groups; ++g) {
-    f.offsets.push_back(r.get<std::uint64_t>());
-    f.crcs.push_back(r.get<std::uint32_t>());
-  }
-  if (f.group_blocks == 0 && groups != 0) {
+  if (group_blocks_ == 0 && groups_ != 0) {
     throw format_error("ChecksumFooter: zero group size with groups present");
+  }
+  bytes_ = in.first(total);
+}
+
+namespace {
+/// Footer byte of entry g's payload offset; its CRC follows 8 bytes on.
+size_t footer_entry_at(size_t g) {
+  return 12 + ChecksumFooter::kEntryBytes * g;
+}
+}  // namespace
+
+std::uint64_t ChecksumFooterView::offset(size_t g) const {
+  std::uint64_t v;
+  std::memcpy(&v, bytes_.data() + footer_entry_at(g), sizeof(v));
+  return v;
+}
+
+std::uint32_t ChecksumFooterView::crc(size_t g) const {
+  std::uint32_t v;
+  std::memcpy(&v, bytes_.data() + footer_entry_at(g) + 8, sizeof(v));
+  return v;
+}
+
+ChecksumFooter ChecksumFooter::deserialize(std::span<const byte_t> in) {
+  const ChecksumFooterView view(in);
+  ChecksumFooter f;
+  f.group_blocks = view.group_blocks();
+  f.offsets.reserve(view.groups());
+  f.crcs.reserve(view.groups());
+  for (size_t g = 0; g < view.groups(); ++g) {
+    f.offsets.push_back(view.offset(g));
+    f.crcs.push_back(view.crc(g));
   }
   return f;
 }

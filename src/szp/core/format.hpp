@@ -165,6 +165,27 @@ struct ChecksumFooter {
   [[nodiscard]] static ChecksumFooter deserialize(std::span<const byte_t> in);
 };
 
+/// A footer checked in place: the construction runs deserialize's checks
+/// (length, magic, self-CRC), and entries are then read from the bytes on
+/// demand, so a range decode reads only the groups it covers. The view
+/// does not own `in`, which must outlive it.
+class ChecksumFooterView {
+ public:
+  /// Throws format_error as ChecksumFooter::deserialize does.
+  explicit ChecksumFooterView(std::span<const byte_t> in);
+
+  [[nodiscard]] std::uint32_t group_blocks() const { return group_blocks_; }
+  [[nodiscard]] size_t groups() const { return groups_; }
+  /// Entry g < groups(): payload-relative start and CRC of group g.
+  [[nodiscard]] std::uint64_t offset(size_t g) const;
+  [[nodiscard]] std::uint32_t crc(size_t g) const;
+
+ private:
+  std::span<const byte_t> bytes_;
+  std::uint32_t group_blocks_ = 0;
+  size_t groups_ = 0;
+};
+
 /// Byte extents of one checksum group within a laid-out stream.
 struct GroupSpan {
   size_t first_block = 0, last_block = 0;      // block indices [first, last)

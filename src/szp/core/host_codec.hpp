@@ -38,9 +38,9 @@ class Executor {
 /// The process-wide inline executor (stateless).
 [[nodiscard]] Executor& serial_executor();
 
-/// Reusable host codec scratch. Sized by (element count, block length) on
-/// first use and reused across calls so steady-state compression does no
-/// allocation; the engine pools these per (n, L) key.
+/// Reusable host codec scratch. Grown on first use and reused across
+/// calls so steady-state compression does no allocation; the engine pools
+/// these (engine/scratch_pool.hpp).
 struct HostScratch {
   /// Per-executor-slot working set: one lane's block codec scratch plus a
   /// payload arena that pass 1 fills and pass 2 scatters with one memcpy.

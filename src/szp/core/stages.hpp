@@ -80,4 +80,27 @@ void bit_pack(std::span<const std::uint32_t> magnitudes, unsigned f,
 void bit_unpack(std::span<const byte_t> in, unsigned f,
                 std::span<std::uint32_t> magnitudes);
 
+namespace detail {
+// The portable scalar bodies. On x86-64 CPUs with AVX2 (checked once per
+// process, szp/util/cpu.hpp) the functions above run SIMD bodies instead:
+// quantize on every span (the count's last n % 4 elements go through the
+// scalar body), split_signs / apply_signs when n % 8 == 0, bit_shuffle /
+// bit_unshuffle when n % 32 == 0; everything else runs these. Declared so
+// tests can compare the two paths; both write the same bytes.
+void quantize_portable(std::span<const float> in, double eb_abs,
+                       std::span<std::int32_t> out);
+void quantize_portable(std::span<const double> in, double eb_abs,
+                       std::span<std::int32_t> out);
+void split_signs_portable(std::span<const std::int32_t> in,
+                          std::span<std::uint32_t> magnitudes,
+                          std::span<byte_t> signs);
+void apply_signs_portable(std::span<const std::uint32_t> magnitudes,
+                          std::span<const byte_t> signs,
+                          std::span<std::int32_t> out);
+void bit_shuffle_portable(std::span<const std::uint32_t> magnitudes,
+                          unsigned f, std::span<byte_t> out);
+void bit_unshuffle_portable(std::span<const byte_t> in, unsigned f,
+                            std::span<std::uint32_t> magnitudes);
+}  // namespace detail
+
 }  // namespace szp::core

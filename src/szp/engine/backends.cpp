@@ -101,7 +101,7 @@ template <typename T>
 CompressedStream host_compress(std::span<const T> data,
                                const core::Params& params, double eb_abs,
                                core::Executor& exec, ScratchPool& pool) {
-  auto lease = pool.acquire(data.size(), params.block_len);
+  auto lease = pool.acquire();
   CompressedStream out;
   out.bytes = core::compress_host(data, params, eb_abs, exec, lease.scratch());
   return out;
@@ -125,14 +125,14 @@ CompressedStream SerialBackend::compress_f64(std::span<const double> data,
 
 std::vector<float> SerialBackend::decompress(std::span<const byte_t> stream,
                                              gpusim::TraceSnapshot*) {
-  auto lease = scratch_.acquire(0, 0);
+  auto lease = scratch_.acquire();
   return core::decompress_host(stream, core::serial_executor(),
                                lease.scratch());
 }
 
 std::vector<double> SerialBackend::decompress_f64(
     std::span<const byte_t> stream, gpusim::TraceSnapshot*) {
-  auto lease = scratch_.acquire(0, 0);
+  auto lease = scratch_.acquire();
   return core::decompress_host_f64(stream, core::serial_executor(),
                                    lease.scratch());
 }
@@ -152,13 +152,13 @@ CompressedStream ParallelHostBackend::compress_f64(
 
 std::vector<float> ParallelHostBackend::decompress(
     std::span<const byte_t> stream, gpusim::TraceSnapshot*) {
-  auto lease = scratch_.acquire(0, 0);
+  auto lease = scratch_.acquire();
   return core::decompress_host(stream, pool_, lease.scratch());
 }
 
 std::vector<double> ParallelHostBackend::decompress_f64(
     std::span<const byte_t> stream, gpusim::TraceSnapshot*) {
-  auto lease = scratch_.acquire(0, 0);
+  auto lease = scratch_.acquire();
   return core::decompress_host_f64(stream, pool_, lease.scratch());
 }
 

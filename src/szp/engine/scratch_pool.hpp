@@ -1,6 +1,7 @@
-// Pool of host codec scratch arenas keyed by (element count, block length).
-// A compress call leases an arena sized for its field; repeated calls on
-// same-shaped fields hit warm arenas and do no per-call allocation.
+// Pool of host codec scratch arenas. Every arena's vectors only grow, so
+// any idle arena serves any call: compress and decompress calls of any
+// shape reuse warm arenas and, once the arenas have grown to the largest
+// call, do no per-call allocation.
 #pragma once
 
 #include <memory>
@@ -13,8 +14,6 @@ namespace szp::engine {
 
 class ScratchPool {
   struct Entry {
-    size_t n = 0;
-    unsigned block_len = 0;
     bool in_use = false;
     core::HostScratch scratch;
   };
@@ -47,32 +46,18 @@ class ScratchPool {
     Entry* entry_;
   };
 
-  /// Lease an arena for an `n`-element field with block length `block_len`.
-  /// An idle arena last used for the same shape counts as a hit (its
-  /// internal vectors are already at size); any other idle arena is
-  /// repurposed, and a new one is created only when all are leased.
-  [[nodiscard]] Lease acquire(size_t n, unsigned block_len) {
+  /// Lease an idle arena (a hit), or create one when all are leased (a
+  /// miss).
+  [[nodiscard]] Lease acquire() {
     const LockGuard lock(mutex_);
-    Entry* idle = nullptr;
     for (const auto& e : entries_) {
       if (e->in_use) continue;
-      if (e->n == n && e->block_len == block_len) {
-        e->in_use = true;
-        ++hits_;
-        return Lease(this, e.get());
-      }
-      idle = e.get();
+      e->in_use = true;
+      ++hits_;
+      return Lease(this, e.get());
     }
     ++misses_;
-    if (idle != nullptr) {
-      idle->n = n;
-      idle->block_len = block_len;
-      idle->in_use = true;
-      return Lease(this, idle);
-    }
     entries_.push_back(std::make_unique<Entry>());
-    entries_.back()->n = n;
-    entries_.back()->block_len = block_len;
     entries_.back()->in_use = true;
     return Lease(this, entries_.back().get());
   }

@@ -234,6 +234,11 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
                              span.payload_in(stream), 0, *out, scratch);
     }
   }
+  // A v2 stream ends at its footer, as a v1 stream ends at its last block.
+  if (rep.ok() && footer_off + footer->bytes() != stream.size()) {
+    rep.status = Status::kSizeMismatch;
+    rep.detail = "bytes after the footer";
+  }
   return finish();
 }
 

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstring>
 
+#include "szp/util/cpu.hpp"
+
 #if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
@@ -75,11 +77,7 @@ __attribute__((target("sse4.2"))) std::uint32_t advance_sse42(
 
 std::uint32_t advance(std::uint32_t state, std::span<const byte_t> data) {
 #if defined(__x86_64__)
-  static const bool kHardware = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("sse4.2") != 0;
-  }();
-  if (kHardware) return advance_sse42(state, data);
+  if (cpu_features().sse42) return advance_sse42(state, data);
 #endif
   return advance_portable(state, data);
 }

@@ -316,19 +316,34 @@ TEST(BufferPool, DevicePoolsReusedAcrossEngineCalls) {
 // ------------------------------------------------------ scratch pool ----
 
 TEST(ScratchPool, HitsOnRepeatedShape) {
+  // Any idle arena is a hit, whatever shape its last call had.
   ScratchPool pool;
-  { auto a = pool.acquire(4096, 32); }
-  { auto b = pool.acquire(4096, 32); }
-  { auto c = pool.acquire(4096, 32); }
+  { auto a = pool.acquire(); }
+  { auto b = pool.acquire(); }
+  { auto c = pool.acquire(); }
   EXPECT_EQ(pool.misses(), 1u);
   EXPECT_EQ(pool.hits(), 2u);
   EXPECT_EQ(pool.size(), 1u);
 }
 
+TEST(ScratchPool, AlternatingCompressAndDecompressHit) {
+  // Compress and decompress calls on one backend share its warm arena.
+  Engine eng({.params = rel_params(), .backend = BackendKind::kSerial});
+  auto* backend = dynamic_cast<SerialBackend*>(&eng.backend());
+  ASSERT_NE(backend, nullptr);
+  const auto field = data::make_field(data::Suite::kNyx, 0, 0.02);
+  for (int i = 0; i < 3; ++i) {
+    const auto cmp = eng.compress(field.values);
+    (void)eng.decompress(cmp.bytes);
+  }
+  EXPECT_EQ(backend->scratch_pool().misses(), 1u);
+  EXPECT_EQ(backend->scratch_pool().hits(), 5u);
+}
+
 TEST(ScratchPool, ConcurrentLeasesGetDistinctArenas) {
   ScratchPool pool;
-  auto a = pool.acquire(100, 32);
-  auto b = pool.acquire(100, 32);
+  auto a = pool.acquire();
+  auto b = pool.acquire();
   EXPECT_NE(&a.scratch(), &b.scratch());
   EXPECT_EQ(pool.size(), 2u);
 }
