@@ -216,8 +216,7 @@ DeviceCodecResult compress_device(gs::Device& dev,
   DeviceCodecResult res;
   res.bytes = kHeaderBytes +
               (chunks == 0 ? 0 : scan_state.inclusive_prefix(chunks - 1));
-  dev.trace().add_d2h(sizeof(std::uint64_t));
-  gs::for_each_op_trace([](gs::Trace& t) { t.add_d2h(sizeof(std::uint64_t)); });
+  dev.count([](gs::Trace& t) { t.add_d2h(sizeof(std::uint64_t)); });
   res.trace = dev.snapshot() - before;
   return res;
 }

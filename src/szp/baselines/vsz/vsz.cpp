@@ -432,8 +432,7 @@ DeviceCodecResult decompress_device(gs::Device& dev,
                                     const gs::DeviceBuffer<byte_t>& cmp,
                                     gs::DeviceBuffer<float>& out) {
   const Header h = Header::deserialize(cmp.span());
-  dev.trace().add_d2h(Header::kSize);
-  gs::for_each_op_trace([](gs::Trace& t) { t.add_d2h(Header::kSize); });
+  dev.count([](gs::Trace& t) { t.add_d2h(Header::kSize); });
   const size_t n = h.num_elements;
   if (out.size() < n) throw format_error("vsz: output too small");
   const auto before = dev.snapshot();
@@ -492,9 +491,7 @@ DeviceCodecResult decompress_device(gs::Device& dev,
     std::vector<byte_t> tail(cmp.size() - outlier_off);
     // Copy just the outlier region.
     std::memcpy(tail.data(), cmp.data() + outlier_off, tail.size());
-    dev.trace().add_d2h(h_outliers.size());
-    gs::for_each_op_trace(
-        [&](gs::Trace& t) { t.add_d2h(h_outliers.size()); });
+    dev.count([&](gs::Trace& t) { t.add_d2h(h_outliers.size()); });
     std::copy(tail.begin(), tail.begin() + static_cast<long>(h_outliers.size()),
               h_outliers.begin());
   }

@@ -254,8 +254,7 @@ DeviceCodecResult decompress_device(gs::Device& dev,
                                     const gs::DeviceBuffer<byte_t>& cmp,
                                     gs::DeviceBuffer<float>& out) {
   const Header h = Header::deserialize(cmp.span());
-  dev.trace().add_d2h(Header::kSize);
-  gs::for_each_op_trace([](gs::Trace& t) { t.add_d2h(Header::kSize); });
+  dev.count([](gs::Trace& t) { t.add_d2h(Header::kSize); });
   data::Dims dims;
   for (unsigned a = 0; a < h.ndim; ++a) dims.extents.push_back(h.dims[a]);
   const BlockGrid g = BlockGrid::from(dims);

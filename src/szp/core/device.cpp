@@ -282,9 +282,8 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
     });
 
     total_payload = scan_state.inclusive_prefix(warps - 1);
-    dev.trace().add_d2h(sizeof(std::uint64_t));  // compressed size readback
-    gs::for_each_op_trace(
-        [](gs::Trace& t) { t.add_d2h(sizeof(std::uint64_t)); });
+    // Compressed size readback.
+    dev.count([](gs::Trace& t) { t.add_d2h(sizeof(std::uint64_t)); });
   } else {
     // --- Two-pass ablation: multi-kernel (lengths, scan, payload). ---
     gs::DeviceBuffer<std::uint64_t> lens(dev, std::max<size_t>(1, nblocks), 0);
@@ -343,7 +342,7 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
       const auto sv = gs::device_view(out, ctx);
       const auto lv = gs::device_view(lens, ctx);
       BlockScratch scratch;
-      size_t elems = 0, payload_bytes = 0;
+      size_t elems = 0, nonzero_elems = 0, payload_bytes = 0;
       const size_t first_block = ctx.block_idx * kBlocksPerWarp;
       const size_t in_begin = std::min(n, first_block * L);
       const size_t in_end =
@@ -366,6 +365,7 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
                               lane_elems);
         if (tm) qp_ns += obs::now_ns() - lane_t0;
         elems += lane_elems;
+        nonzero_elems += L;
         write_block_payload(scratch, lb, L, params.bit_shuffle,
                             sv.store_span(base + lv.load(block), cl));
         payload_bytes += cl;
@@ -373,7 +373,9 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
       ctx.read(gs::Stage::kQuantPredict, elems * sizeof(T));
       ctx.ops(gs::Stage::kQuantPredict, elems);
       ctx.write(gs::Stage::kBitShuffle, payload_bytes);
-      ctx.ops(gs::Stage::kBitShuffle, payload_bytes);
+      // Shuffle register work runs per element of every non-zero block,
+      // as in the chained kernel.
+      ctx.ops(gs::Stage::kBitShuffle, nonzero_elems);
       if (tm) {
         const std::uint64_t total = obs::now_ns() - sec0;
         ctx.stage_ns(gs::Stage::kQuantPredict, qp_ns);
@@ -381,9 +383,7 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
                      total > qp_ns ? total - qp_ns : 0);
       }
     });
-    dev.trace().add_d2h(sizeof(std::uint64_t));
-    gs::for_each_op_trace(
-        [](gs::Trace& t) { t.add_d2h(sizeof(std::uint64_t)); });
+    dev.count([](gs::Trace& t) { t.add_d2h(sizeof(std::uint64_t)); });
 
     // The multi-kernel ablation checksums in a fourth kernel (one group
     // per lane), reusing the scanned offsets still sitting in `lens`.
@@ -428,8 +428,7 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
       });
       const auto hv = gs::host_view(out);
       footer.serialize(hv.store_span(base + total_payload, footer.bytes()));
-      dev.trace().add_write(gs::Stage::kOther, footer.bytes());
-      gs::for_each_op_trace(
+      dev.count(
           [&](gs::Trace& t) { t.add_write(gs::Stage::kOther, footer.bytes()); });
     }
   }
@@ -463,8 +462,7 @@ DeviceCodecResult decompress_device_impl(gs::Device& dev,
   if (h.is_f64() != std::is_same_v<T, double>) {
     throw format_error("decompress_device: stream data type mismatch");
   }
-  dev.trace().add_d2h(Header::kSize);
-  gs::for_each_op_trace([](gs::Trace& t) { t.add_d2h(Header::kSize); });
+  dev.count([](gs::Trace& t) { t.add_d2h(Header::kSize); });
   const unsigned L = h.block_len;
   const size_t n = h.num_elements;
   const size_t nblocks = num_blocks(n, L);

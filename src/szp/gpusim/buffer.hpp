@@ -212,10 +212,9 @@ void copy_h2d(Device& dev, DeviceBuffer<T>& dst, std::span<const T> src) {
   if (!src.empty()) {
     std::memcpy(dst.raw_data(), src.data(), src.size() * sizeof(T));
   }
-  dev.trace().add_h2d(src.size() * sizeof(T));
-  for_each_op_trace([&](Trace& t) { t.add_h2d(src.size() * sizeof(T)); });
+  dev.count([&](Trace& t) { t.add_h2d(src.size() * sizeof(T)); });
   if (profile::Profiler* prof = dev.profiler()) {
-    prof->on_memcpy_h2d(src.size() * sizeof(T));
+    prof->on_memcpy(OpKind::kMemcpyH2D);
   }
 }
 
@@ -231,10 +230,9 @@ void copy_d2h(Device& dev, std::span<T> dst, const DeviceBuffer<T>& src,
     (void)sh->pre_load_range(0, count, nullptr, sanitize::kHostActor);
   }
   if (count != 0) std::memcpy(dst.data(), src.raw_data(), count * sizeof(T));
-  dev.trace().add_d2h(count * sizeof(T));
-  for_each_op_trace([&](Trace& t) { t.add_d2h(count * sizeof(T)); });
+  dev.count([&](Trace& t) { t.add_d2h(count * sizeof(T)); });
   if (profile::Profiler* prof = dev.profiler()) {
-    prof->on_memcpy_d2h(count * sizeof(T));
+    prof->on_memcpy(OpKind::kMemcpyD2H);
   }
 }
 
@@ -253,10 +251,9 @@ void copy_d2d(Device& dev, DeviceBuffer<T>& dst, const DeviceBuffer<T>& src,
     (void)sh->pre_store_range(0, count, nullptr, sanitize::kHostActor);
   }
   if (count != 0) std::memcpy(dst.raw_data(), src.raw_data(), count * sizeof(T));
-  dev.trace().add_d2d(count * sizeof(T));
-  for_each_op_trace([&](Trace& t) { t.add_d2d(count * sizeof(T)); });
+  dev.count([&](Trace& t) { t.add_d2d(count * sizeof(T)); });
   if (profile::Profiler* prof = dev.profiler()) {
-    prof->on_memcpy_d2d(count * sizeof(T));
+    prof->on_memcpy(OpKind::kMemcpyD2D);
   }
 }
 
@@ -293,8 +290,7 @@ template <typename T>
 /// host prefix-sum, etc.).
 template <typename Fn>
 auto host_stage(Device& dev, std::uint64_t bytes, Fn&& fn) {
-  dev.trace().add_host_stage(bytes);
-  for_each_op_trace([&](Trace& t) { t.add_host_stage(bytes); });
+  dev.count([&](Trace& t) { t.add_host_stage(bytes); });
   return fn();
 }
 

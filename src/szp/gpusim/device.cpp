@@ -30,7 +30,8 @@ Device::Device(unsigned workers, sanitize::Tools devcheck,
         std::make_unique<sanitize::Checker>(devcheck, &launches_in_flight_);
   }
   if (prof.enabled) {
-    profiler_ = std::make_unique<profile::Profiler>(std::move(prof), workers_);
+    profiler_ =
+        std::make_unique<profile::Profiler>(std::move(prof), workers_, trace_);
   }
   default_stream_ =
       std::unique_ptr<Stream>(new Stream(*this, "default", Stream::Inline{}));
@@ -160,21 +161,7 @@ void Device::reset_trace() {
         "(synchronize() first)");
   }
   trace_.reset();
-}
-
-void Device::log_launch(std::string name, size_t grid_blocks) {
-  const LockGuard lock(log_mutex_);
-  launch_log_.push_back({std::move(name), grid_blocks});
-}
-
-std::vector<KernelRecord> Device::launch_log() const {
-  const LockGuard lock(log_mutex_);
-  return launch_log_;
-}
-
-void Device::clear_launch_log() {
-  const LockGuard lock(log_mutex_);
-  launch_log_.clear();
+  if (profiler_ != nullptr) profiler_->rebase_memcpy();
 }
 
 }  // namespace szp::gpusim

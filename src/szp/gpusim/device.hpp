@@ -29,12 +29,6 @@ class Checker;
 
 class Stream;
 
-/// Record of one kernel launch (name + grid size), for tests and reports.
-struct KernelRecord {
-  std::string name;
-  size_t grid_blocks = 0;
-};
-
 class Device {
  public:
   /// `workers` = number of host threads used to execute thread blocks.
@@ -86,6 +80,14 @@ class Device {
   [[nodiscard]] Trace& trace() { return trace_; }
   [[nodiscard]] const Trace& trace() const { return trace_; }
 
+  /// Host-side count (memcpys, readbacks, host stages): adds `fn(Trace&)`
+  /// once to this device's Trace and once to each OpTraceScope open on
+  /// the calling thread. Kernels count through BlockCtx instead.
+  template <typename Fn>
+  void count(const Fn& fn) {
+    gpusim::count(trace_, OpTraceScope::current(), fn);
+  }
+
   /// Consistent counter snapshot. Throws std::logic_error if a kernel
   /// launch is in flight OR any stream still has queued/executing async
   /// operations: work still executing would keep mutating the counters,
@@ -94,7 +96,8 @@ class Device {
   /// synchronize() first when streams are in use.
   [[nodiscard]] TraceSnapshot snapshot() const;
 
-  /// Zero the trace counters; same quiescence requirement as snapshot().
+  /// Zero the trace counters (and restart the profile's memcpy bytes,
+  /// which are read off them); same quiescence requirement as snapshot().
   void reset_trace();
 
   // --- async runtime (streams) ------------------------------------------
@@ -172,11 +175,6 @@ class Device {
     return alloc_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Launch log.
-  void log_launch(std::string name, size_t grid_blocks);
-  [[nodiscard]] std::vector<KernelRecord> launch_log() const;
-  void clear_launch_log();
-
   /// Fault-injection hook: invoked with the kernel name after each launch
   /// fully retires (all blocks done, no exception). Tests use it to corrupt
   /// device memory between pipeline stages. Empty by default.
@@ -196,8 +194,6 @@ class Device {
   std::atomic<unsigned> launches_in_flight_{0};
   std::atomic<unsigned> async_pending_{0};
   std::atomic<size_t> alloc_bytes_{0};
-  mutable Mutex log_mutex_;
-  std::vector<KernelRecord> launch_log_ SZP_GUARDED_BY(log_mutex_);
   mutable Mutex hook_mutex_;
   std::shared_ptr<const KernelHook> post_kernel_hook_
       SZP_GUARDED_BY(hook_mutex_);

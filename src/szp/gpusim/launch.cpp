@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,12 +29,7 @@ struct LaunchScope {
 
 void run_blocks(Device& dev, const char* kernel_name, size_t grid_blocks,
                 const std::function<void(const BlockCtx&)>& body) {
-  dev.trace().add_kernel_launch();
-  // Per-op attribution: the chain head is captured here, on the launching
-  // thread, and handed to block workers through BlockCtx.
-  OpTraceScope* op_sink = OpTraceScope::current();
-  for_each_op_trace(op_sink, [](Trace& t) { t.add_kernel_launch(); });
-  dev.log_launch(kernel_name, grid_blocks);
+  dev.count([](Trace& t) { t.add_kernel_launch(); });
   // Flight recorder: kernel_name is required to be a literal (launch
   // sites pass one), so storing the pointer is safe.
   obs::fr::record(obs::fr::Kind::kKernel, kernel_name, grid_blocks);
@@ -51,10 +47,17 @@ void run_blocks(Device& dev, const char* kernel_name, size_t grid_blocks,
     lc = chk->begin_launch(kernel_name, grid_blocks, Stream::calling_slot());
   }
   std::shared_ptr<profile::LaunchProf> lp;
+  // While profiling, a per-launch scope collects the launch's own Trace
+  // diff: the profile's stage counters.
+  std::optional<OpTraceScope> launch_counts;
   if (profile::Profiler* prof = dev.profiler()) {
     lp = prof->begin_launch(kernel_name, grid_blocks,
                             std::string(Stream::current_name()));
+    launch_counts.emplace();
   }
+  // Per-op attribution: the chain head is captured here, on the launching
+  // thread, and handed to block workers through BlockCtx.
+  OpTraceScope* const op_sink = OpTraceScope::current();
 
   using Clock = std::chrono::steady_clock;
   const Clock::time_point launch_t0 = Clock::now();
@@ -117,7 +120,8 @@ void run_blocks(Device& dev, const char* kernel_name, size_t grid_blocks,
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              launch_t0)
             .count());
-    dev.profiler()->end_launch(lp, wall_ns);
+    dev.profiler()->end_launch(lp, wall_ns, launch_counts->snapshot());
+    launch_counts.reset();
   }
   if (first_error) std::rethrow_exception(first_error);
 

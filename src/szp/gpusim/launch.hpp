@@ -28,20 +28,17 @@ struct BlockCtx {
   /// nullptr when no scope was open at launch.
   OpTraceScope* op_sink = nullptr;
 
+  /// Stage counts: each adds once to the Device's Trace and once to every
+  /// scope in the op_sink chain (gpusim::count). While profiling, that
+  /// chain starts with the launch's own scope, whose diff is the profile.
   void read(Stage s, std::uint64_t bytes) const {
-    trace->add_read(s, bytes);
-    for_each_op_trace(op_sink, [&](Trace& t) { t.add_read(s, bytes); });
-    if (prof != nullptr) prof->add_read(s, bytes);
+    count(*trace, op_sink, [&](Trace& t) { t.add_read(s, bytes); });
   }
   void write(Stage s, std::uint64_t bytes) const {
-    trace->add_write(s, bytes);
-    for_each_op_trace(op_sink, [&](Trace& t) { t.add_write(s, bytes); });
-    if (prof != nullptr) prof->add_write(s, bytes);
+    count(*trace, op_sink, [&](Trace& t) { t.add_write(s, bytes); });
   }
   void ops(Stage s, std::uint64_t n) const {
-    trace->add_ops(s, n);
-    for_each_op_trace(op_sink, [&](Trace& t) { t.add_ops(s, n); });
-    if (prof != nullptr) prof->add_ops(s, n);
+    count(*trace, op_sink, [&](Trace& t) { t.add_ops(s, n); });
   }
 
   /// Chained-scan lookback descriptor polling. Counts toward the trace
@@ -49,9 +46,8 @@ struct BlockCtx {
   /// many descriptors a partition walks depends on publication timing,
   /// so it must stay out of the deterministic stage counters.
   void lookback_read(Stage s, std::uint64_t bytes) const {
-    trace->add_read(s, bytes);
-    for_each_op_trace(op_sink, [&](Trace& t) { t.add_read(s, bytes); });
-    if (prof != nullptr) prof->add_lookback_bytes(bytes);
+    read(s, bytes);
+    if (prof != nullptr) prof->add_lookback_bytes(s, bytes);
   }
 
   [[nodiscard]] bool profiled() const { return prof != nullptr; }

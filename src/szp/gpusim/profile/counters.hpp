@@ -10,6 +10,11 @@
 // LaunchProf/BufferProf pointers and every instrumentation site is a
 // single null-pointer branch — the same contract as the sanitizer.
 //
+// Stage bytes/ops are not counted here: they are the launch's own
+// gpusim::Trace diff, collected by a per-launch OpTraceScope while
+// profiling (launch.cpp). This accumulator keeps only what the Trace
+// lacks.
+//
 // Counters are split into two families:
 //   * deterministic — a pure function of the input and codec config
 //     (stage bytes/ops, warp-primitive counts, atomic publish/RMW
@@ -23,13 +28,13 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "szp/gpusim/trace.hpp"
+#include "szp/obs/profiling.hpp"
 
 namespace szp::gpusim::profile {
 
@@ -49,46 +54,6 @@ enum class WarpOp : std::uint8_t {
 inline constexpr unsigned kNumWarpOps = static_cast<unsigned>(WarpOp::kCount_);
 
 [[nodiscard]] std::string_view warp_op_name(WarpOp op);
-
-/// Power-of-two histogram with lock-free observation: bucket i counts
-/// values v with bit_width(v) == i (bucket 0 = zero values, the last
-/// bucket saturates). Used for the lookback depth/spin distributions.
-template <unsigned NBuckets>
-class AtomicPow2Hist {
- public:
-  static constexpr unsigned kBuckets = NBuckets;
-
-  void observe(std::uint64_t v) {
-    const unsigned w = static_cast<unsigned>(std::bit_width(v));
-    const unsigned idx = w < NBuckets ? w : NBuckets - 1;
-    buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t cur = max_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  [[nodiscard]] std::uint64_t bucket(unsigned i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t max() const {
-    return max_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, NBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
-};
 
 /// Per-buffer device traffic, hooked through the checked views: bytes
 /// moved and transactions issued (one load/store or one ranged span
@@ -130,15 +95,6 @@ class LaunchProf {
         block_wall_ns_(grid_blocks) {}
 
   // --- deterministic counters -------------------------------------------
-  void add_read(Stage s, std::uint64_t bytes) {
-    stages_[idx(s)].read_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void add_write(Stage s, std::uint64_t bytes) {
-    stages_[idx(s)].write_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void add_ops(Stage s, std::uint64_t n) {
-    stages_[idx(s)].ops.fetch_add(n, std::memory_order_relaxed);
-  }
   void count_warp_op(WarpOp op) {
     warp_ops_[static_cast<unsigned>(op)].fetch_add(1,
                                                    std::memory_order_relaxed);
@@ -161,11 +117,12 @@ class LaunchProf {
     lookback_depth_.observe(depth);
     lookback_spins_.observe(spins);
   }
-  /// Descriptor-polling traffic (depth * descriptor size). Kept out of
-  /// the deterministic stage counters: how many descriptors a partition
-  /// reads depends on which predecessors had published a prefix.
-  void add_lookback_bytes(std::uint64_t bytes) {
-    lookback_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  /// Descriptor-polling traffic (depth * descriptor size), which the
+  /// Trace books as reads of `s`. Kept out of the deterministic stage
+  /// counters: how many descriptors a partition reads depends on which
+  /// predecessors had published a prefix.
+  void add_lookback_bytes(Stage s, std::uint64_t bytes) {
+    lookback_bytes_[idx(s)].fetch_add(bytes, std::memory_order_relaxed);
   }
   void add_stage_ns(Stage s, std::uint64_t ns) {
     stage_ns_[idx(s)].fetch_add(ns, std::memory_order_relaxed);
@@ -182,15 +139,6 @@ class LaunchProf {
   [[nodiscard]] const std::string& stream() const { return stream_; }
   [[nodiscard]] std::size_t grid_blocks() const { return grid_blocks_; }
   [[nodiscard]] unsigned workers() const { return workers_; }
-  [[nodiscard]] std::uint64_t stage_read_bytes(unsigned s) const {
-    return stages_[s].read_bytes.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t stage_write_bytes(unsigned s) const {
-    return stages_[s].write_bytes.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t stage_ops(unsigned s) const {
-    return stages_[s].ops.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t stage_ns(unsigned s) const {
     return stage_ns_[s].load(std::memory_order_relaxed);
   }
@@ -209,8 +157,8 @@ class LaunchProf {
   [[nodiscard]] std::uint64_t lookback_calls() const {
     return lookback_calls_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t lookback_bytes() const {
-    return lookback_bytes_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t lookback_bytes(unsigned s) const {
+    return lookback_bytes_[s].load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t blocks_run() const {
     return blocks_run_.load(std::memory_order_relaxed);
@@ -218,36 +166,29 @@ class LaunchProf {
   [[nodiscard]] std::uint64_t block_wall_ns(std::size_t i) const {
     return block_wall_ns_[i].load(std::memory_order_relaxed);
   }
-  [[nodiscard]] const AtomicPow2Hist<20>& lookback_depth() const {
+  [[nodiscard]] const obs::AtomicPow2Hist<20>& lookback_depth() const {
     return lookback_depth_;
   }
-  [[nodiscard]] const AtomicPow2Hist<28>& lookback_spins() const {
+  [[nodiscard]] const obs::AtomicPow2Hist<28>& lookback_spins() const {
     return lookback_spins_;
   }
 
  private:
   static constexpr unsigned idx(Stage s) { return static_cast<unsigned>(s); }
 
-  struct StageAtomic {
-    std::atomic<std::uint64_t> read_bytes{0};
-    std::atomic<std::uint64_t> write_bytes{0};
-    std::atomic<std::uint64_t> ops{0};
-  };
-
   std::string kernel_;
   std::string stream_;
   std::size_t grid_blocks_;
   unsigned workers_;
-  std::array<StageAtomic, kNumStages> stages_{};
   std::array<std::atomic<std::uint64_t>, kNumStages> stage_ns_{};
   std::array<std::atomic<std::uint64_t>, kNumWarpOps> warp_ops_{};
   std::atomic<std::uint64_t> atomic_stores_{0};
   std::atomic<std::uint64_t> atomic_rmws_{0};
   std::atomic<std::uint64_t> barriers_{0};
   std::atomic<std::uint64_t> lookback_calls_{0};
-  std::atomic<std::uint64_t> lookback_bytes_{0};
-  AtomicPow2Hist<20> lookback_depth_;
-  AtomicPow2Hist<28> lookback_spins_;
+  std::array<std::atomic<std::uint64_t>, kNumStages> lookback_bytes_{};
+  obs::AtomicPow2Hist<20> lookback_depth_;
+  obs::AtomicPow2Hist<28> lookback_spins_;
   std::vector<std::atomic<std::uint64_t>> block_wall_ns_;
   std::atomic<std::uint64_t> blocks_run_{0};
 };

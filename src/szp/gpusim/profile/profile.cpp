@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "szp/gpusim/profile/report.hpp"
-#include "szp/obs/metrics.hpp"
 
 namespace szp::gpusim::profile {
 
@@ -23,15 +22,6 @@ std::string_view warp_op_name(WarpOp op) {
   return "?";
 }
 
-Options options_from_string(std::string_view spec) {
-  Options o;
-  if (spec.empty() || spec == "0" || spec == "off") return o;
-  o.enabled = true;
-  if (spec == "1" || spec == "on") return o;
-  o.export_path.assign(spec);
-  return o;
-}
-
 Options options_from_env() {
   const char* raw = std::getenv("SZP_PROFILE");
   Options o = options_from_string(raw == nullptr ? "" : raw);
@@ -39,55 +29,20 @@ Options options_from_env() {
   return o;
 }
 
-std::uint64_t LaunchProfile::total_read_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& s : stages) n += s.read_bytes;
-  return n;
-}
-
-std::uint64_t LaunchProfile::total_write_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& s : stages) n += s.write_bytes;
-  return n;
-}
-
-std::uint64_t LaunchProfile::total_ops() const {
-  std::uint64_t n = 0;
-  for (const auto& s : stages) n += s.ops;
-  return n;
-}
-
-namespace {
-
-template <unsigned N>
-HistSnapshot snapshot_hist(const AtomicPow2Hist<N>& h) {
-  HistSnapshot out;
-  out.buckets.resize(N);
-  for (unsigned i = 0; i < N; ++i) out.buckets[i] = h.bucket(i);
-  // Trim trailing empty buckets so reports stay compact and two runs
-  // with the same populated range compare equal.
-  while (!out.buckets.empty() && out.buckets.back() == 0) {
-    out.buckets.pop_back();
-  }
-  out.count = h.count();
-  out.sum = h.sum();
-  out.max = h.max();
-  return out;
-}
-
-}  // namespace
-
-LaunchProfile archive_launch(const LaunchProf& lp, std::uint64_t wall_ns) {
+LaunchProfile archive_launch(const LaunchProf& lp, std::uint64_t wall_ns,
+                             const TraceSnapshot& counts) {
   LaunchProfile out;
   out.kernel = lp.kernel();
   out.stream = lp.stream();
   out.grid_blocks = lp.grid_blocks();
   out.workers = lp.workers();
   for (unsigned s = 0; s < kNumStages; ++s) {
-    out.stages[s].read_bytes = lp.stage_read_bytes(s);
-    out.stages[s].write_bytes = lp.stage_write_bytes(s);
-    out.stages[s].ops = lp.stage_ops(s);
+    out.stages[s].read_bytes =
+        counts.stages[s].read_bytes - lp.lookback_bytes(s);
+    out.stages[s].write_bytes = counts.stages[s].write_bytes;
+    out.stages[s].ops = counts.stages[s].ops;
     out.stages[s].ns = lp.stage_ns(s);
+    out.lookback_read_bytes += lp.lookback_bytes(s);
   }
   for (unsigned w = 0; w < kNumWarpOps; ++w) {
     out.warp_ops[w] = lp.warp_op_count(w);
@@ -96,9 +51,8 @@ LaunchProfile archive_launch(const LaunchProf& lp, std::uint64_t wall_ns) {
   out.atomic_rmws = lp.atomic_rmws();
   out.barriers = lp.barriers();
   out.lookback_calls = lp.lookback_calls();
-  out.lookback_read_bytes = lp.lookback_bytes();
-  out.lookback_depth = snapshot_hist(lp.lookback_depth());
-  out.lookback_spins = snapshot_hist(lp.lookback_spins());
+  out.lookback_depth = lp.lookback_depth().snapshot();
+  out.lookback_spins = lp.lookback_spins().snapshot();
   out.wall_ns = wall_ns;
 
   BlockStats& b = out.blocks;
@@ -125,8 +79,8 @@ LaunchProfile archive_launch(const LaunchProf& lp, std::uint64_t wall_ns) {
   return out;
 }
 
-Profiler::Profiler(Options opts, unsigned workers)
-    : opts_(std::move(opts)), workers_(workers) {}
+Profiler::Profiler(Options opts, unsigned workers, const Trace& trace)
+    : opts_(std::move(opts)), workers_(workers), trace_(trace) {}
 
 Profiler::~Profiler() {
   if (opts_.from_env && !opts_.export_path.empty()) {
@@ -143,18 +97,8 @@ std::shared_ptr<LaunchProf> Profiler::begin_launch(std::string kernel,
 }
 
 void Profiler::end_launch(const std::shared_ptr<LaunchProf>& lp,
-                          std::uint64_t wall_ns) {
-  LaunchProfile archived = archive_launch(*lp, wall_ns);
-  if (obs::metrics_enabled()) {
-    auto& reg = obs::Registry::instance();
-    reg.counter("profile.launches").add(1);
-    reg.counter("profile.read_bytes").add(archived.total_read_bytes());
-    reg.counter("profile.write_bytes").add(archived.total_write_bytes());
-    reg.counter("profile.ops").add(archived.total_ops());
-    reg.counter("profile.atomic_rmws").add(archived.atomic_rmws);
-    reg.histogram("profile.launch_wall_ns", obs::Histogram::pow2_bounds(28))
-        .observe(static_cast<double>(wall_ns));
-  }
+                          std::uint64_t wall_ns, const TraceSnapshot& counts) {
+  LaunchProfile archived = archive_launch(*lp, wall_ns, counts);
   const LockGuard lock(mu_);
   launches_.push_back(std::move(archived));
 }
@@ -170,22 +114,13 @@ std::shared_ptr<BufferProf> Profiler::on_alloc(std::size_t elem_bytes,
   return bp;
 }
 
-void Profiler::on_memcpy_h2d(std::uint64_t bytes) {
+void Profiler::on_memcpy(OpKind kind) {
   const LockGuard lock(mu_);
-  memcpy_.h2d_bytes += bytes;
-  memcpy_.h2d_count += 1;
-}
-
-void Profiler::on_memcpy_d2h(std::uint64_t bytes) {
-  const LockGuard lock(mu_);
-  memcpy_.d2h_bytes += bytes;
-  memcpy_.d2h_count += 1;
-}
-
-void Profiler::on_memcpy_d2d(std::uint64_t bytes) {
-  const LockGuard lock(mu_);
-  memcpy_.d2d_bytes += bytes;
-  memcpy_.d2d_count += 1;
+  switch (kind) {
+    case OpKind::kMemcpyH2D: ++memcpy_counts_.h2d_count; break;
+    case OpKind::kMemcpyD2H: ++memcpy_counts_.d2h_count; break;
+    default: ++memcpy_counts_.d2d_count; break;
+  }
 }
 
 SessionProfile Profiler::snapshot() const {
@@ -209,7 +144,11 @@ SessionProfile Profiler::snapshot() const {
     bs.freed = bp->freed.load(std::memory_order_relaxed);
     out.buffers.push_back(bs);
   }
-  out.memcpy = memcpy_;
+  const TraceSnapshot moved = trace_.snapshot() - memcpy_base_;
+  out.memcpy = memcpy_counts_;
+  out.memcpy.h2d_bytes = moved.h2d_bytes;
+  out.memcpy.d2h_bytes = moved.d2h_bytes;
+  out.memcpy.d2d_bytes = moved.d2d_bytes;
   return out;
 }
 
@@ -219,11 +158,20 @@ std::size_t Profiler::launch_count() const {
 }
 
 void Profiler::reset() {
+  {
+    const LockGuard lock(mu_);
+    launches_.clear();
+    buffers_.clear();
+    next_buffer_id_ = 0;
+    memcpy_counts_ = {};
+  }
+  rebase_memcpy();
+}
+
+void Profiler::rebase_memcpy() {
+  const TraceSnapshot now = trace_.snapshot();
   const LockGuard lock(mu_);
-  launches_.clear();
-  buffers_.clear();
-  next_buffer_id_ = 0;
-  memcpy_ = {};
+  memcpy_base_ = now;
 }
 
 namespace {

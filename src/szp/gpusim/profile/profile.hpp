@@ -25,27 +25,11 @@
 
 namespace szp::gpusim::profile {
 
-/// Profiler configuration, resolved once at Device construction.
-struct Options {
-  bool enabled = false;
-  /// Device was armed by SZP_PROFILE (registers with the Collector when
-  /// an export path is set).
-  bool from_env = false;
-  /// Non-empty when SZP_PROFILE named a file: the Collector writes the
-  /// combined profile JSON there at process exit.
-  std::string export_path;
-
-  [[nodiscard]] static Options off() { return {}; }
-  [[nodiscard]] static Options on() {
-    Options o;
-    o.enabled = true;
-    return o;
-  }
-};
-
-/// Parse an SZP_PROFILE-style value: "" / "0" / "off" → disabled,
-/// "1" / "on" → collect only, anything else → collect + export path.
-[[nodiscard]] Options options_from_string(std::string_view spec);
+/// Profiler configuration, resolved once at Device construction (the
+/// SZP_PROFILE value's shape is obs::options_from_string's).
+using Options = obs::ProfilerOptions;
+using obs::HistSnapshot;
+using obs::options_from_string;
 
 /// Read SZP_PROFILE from the environment (sets from_env when armed).
 [[nodiscard]] Options options_from_env();
@@ -61,13 +45,6 @@ struct StageProfile {
   [[nodiscard]] bool counters_empty() const {
     return read_bytes == 0 && write_bytes == 0 && ops == 0;
   }
-};
-
-struct HistSnapshot {
-  std::vector<std::uint64_t> buckets;  // pow2 buckets, bucket i ~ bit_width i
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t max = 0;
 };
 
 /// Per-launch wall-clock load-balance statistics over the block grid.
@@ -107,10 +84,6 @@ struct LaunchProfile {
   // timing section
   std::uint64_t wall_ns = 0;
   BlockStats blocks;
-
-  [[nodiscard]] std::uint64_t total_read_bytes() const;
-  [[nodiscard]] std::uint64_t total_write_bytes() const;
-  [[nodiscard]] std::uint64_t total_ops() const;
 };
 
 struct BufferStats {
@@ -125,6 +98,9 @@ struct BufferStats {
   bool freed = false;
 };
 
+/// Bytes are the Device Trace's (since the last reset_profile or
+/// reset_trace), so they include the codecs' header and size readbacks;
+/// counts are copy_h2d/copy_d2h/copy_d2d calls.
 struct MemcpyStats {
   std::uint64_t h2d_bytes = 0;
   std::uint64_t d2h_bytes = 0;
@@ -146,10 +122,11 @@ struct SessionProfile {
 
 /// Owned by a Device when profiling is enabled. Thread-safe: launches
 /// are serialized by the Device, but buffer registration and memcpys
-/// can race with snapshots from other threads.
+/// can race with snapshots from other threads. Reads memcpy bytes off
+/// the owning Device's `trace`, which must outlive the profiler.
 class Profiler {
  public:
-  explicit Profiler(Options opts, unsigned workers);
+  Profiler(Options opts, unsigned workers, const Trace& trace);
   ~Profiler();
 
   Profiler(const Profiler&) = delete;
@@ -158,18 +135,19 @@ class Profiler {
   [[nodiscard]] const Options& options() const { return opts_; }
 
   /// Launch lifecycle (called from run_blocks). `stream` names the lane
-  /// the launch runs on ("default" for the synchronous API).
+  /// the launch runs on ("default" for the synchronous API); `counts` is
+  /// the launch's own Trace diff.
   [[nodiscard]] std::shared_ptr<LaunchProf> begin_launch(
       std::string kernel, std::size_t grid_blocks,
       std::string stream = "default");
-  void end_launch(const std::shared_ptr<LaunchProf>& lp, std::uint64_t wall_ns);
+  void end_launch(const std::shared_ptr<LaunchProf>& lp, std::uint64_t wall_ns,
+                  const TraceSnapshot& counts);
 
   /// Buffer lifecycle (called from DeviceBuffer).
   [[nodiscard]] std::shared_ptr<BufferProf> on_alloc(std::size_t elem_bytes,
                                                      std::size_t elems);
-  void on_memcpy_h2d(std::uint64_t bytes);
-  void on_memcpy_d2h(std::uint64_t bytes);
-  void on_memcpy_d2d(std::uint64_t bytes);
+  /// One copy_* call of `kind` (kMemcpyH2D/D2H/D2D).
+  void on_memcpy(OpKind kind);
 
   /// Value-typed copy of everything collected so far.
   [[nodiscard]] SessionProfile snapshot() const;
@@ -177,20 +155,26 @@ class Profiler {
   [[nodiscard]] std::size_t launch_count() const;
   /// Drop all collected launches/buffers/memcpy totals.
   void reset();
+  /// Restart the memcpy bytes at the Trace's current values.
+  void rebase_memcpy();
 
  private:
   Options opts_;
   unsigned workers_;
+  const Trace& trace_;
   mutable Mutex mu_;
   std::vector<LaunchProfile> launches_ SZP_GUARDED_BY(mu_);
   std::vector<std::shared_ptr<BufferProf>> buffers_ SZP_GUARDED_BY(mu_);
   std::uint64_t next_buffer_id_ SZP_GUARDED_BY(mu_) = 0;
-  MemcpyStats memcpy_ SZP_GUARDED_BY(mu_);
+  MemcpyStats memcpy_counts_ SZP_GUARDED_BY(mu_);
+  TraceSnapshot memcpy_base_ SZP_GUARDED_BY(mu_);
 };
 
-/// Archive a finished LaunchProf into a value-typed LaunchProfile.
+/// Archive a finished LaunchProf into a value-typed LaunchProfile; the
+/// stage counters are `counts` less the lookback polling.
 [[nodiscard]] LaunchProfile archive_launch(const LaunchProf& lp,
-                                           std::uint64_t wall_ns);
+                                           std::uint64_t wall_ns,
+                                           const TraceSnapshot& counts);
 
 // --- process-wide collection for SZP_PROFILE=<path> --------------------
 

@@ -1,48 +1,15 @@
 #include "szp/gpusim/profile/report.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 
+#include "szp/obs/json.hpp"
+
 namespace szp::gpusim::profile {
 
 namespace {
-
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-/// Shortest-ish fixed rendering so a given double always serializes the
-/// same way regardless of stream state.
-void json_number(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-void json_hist(std::ostream& os, const HistSnapshot& h, const char* indent) {
-  os << "{\n"
-     << indent << "  \"count\": " << h.count << ",\n"
-     << indent << "  \"sum\": " << h.sum << ",\n"
-     << indent << "  \"max\": " << h.max << ",\n"
-     << indent << "  \"pow2_buckets\": [";
-  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-    os << (i ? ", " : "") << h.buckets[i];
-  }
-  os << "]\n" << indent << "}";
-}
 
 void json_counters(std::ostream& os, const LaunchProfile& lp) {
   os << "        \"counters\": {\n          \"stages\": {";
@@ -51,7 +18,7 @@ void json_counters(std::ostream& os, const LaunchProfile& lp) {
     const StageProfile& sp = lp.stages[s];
     if (sp.counters_empty()) continue;
     os << (first ? "\n" : ",\n") << "            ";
-    json_string(os, stage_name(static_cast<Stage>(s)));
+    obs::write_json_string(os, stage_name(static_cast<Stage>(s)));
     os << ": {\"read_bytes\": " << sp.read_bytes
        << ", \"write_bytes\": " << sp.write_bytes << ", \"ops\": " << sp.ops
        << "}";
@@ -62,7 +29,7 @@ void json_counters(std::ostream& os, const LaunchProfile& lp) {
   for (unsigned w = 0; w < kNumWarpOps; ++w) {
     if (lp.warp_ops[w] == 0) continue;
     os << (first ? "\n" : ",\n") << "            ";
-    json_string(os, warp_op_name(static_cast<WarpOp>(w)));
+    obs::write_json_string(os, warp_op_name(static_cast<WarpOp>(w)));
     os << ": " << lp.warp_ops[w];
     first = false;
   }
@@ -76,9 +43,9 @@ void json_schedule(std::ostream& os, const LaunchProfile& lp) {
   os << "        \"schedule\": {\n"
      << "          \"lookback_read_bytes\": " << lp.lookback_read_bytes
      << ",\n          \"lookback_depth\": ";
-  json_hist(os, lp.lookback_depth, "          ");
+  obs::write_json_hist(os, lp.lookback_depth, "          ");
   os << ",\n          \"lookback_spins\": ";
-  json_hist(os, lp.lookback_spins, "          ");
+  obs::write_json_hist(os, lp.lookback_spins, "          ");
   os << "\n        }";
 }
 
@@ -90,7 +57,7 @@ void json_timing(std::ostream& os, const LaunchProfile& lp) {
   for (unsigned s = 0; s < kNumStages; ++s) {
     if (lp.stages[s].ns == 0) continue;
     os << (first ? "" : ", ");
-    json_string(os, stage_name(static_cast<Stage>(s)));
+    obs::write_json_string(os, stage_name(static_cast<Stage>(s)));
     os << ": " << lp.stages[s].ns;
     first = false;
   }
@@ -98,11 +65,11 @@ void json_timing(std::ostream& os, const LaunchProfile& lp) {
   os << "},\n          \"blocks\": {\"executed\": " << b.executed
      << ", \"min_ns\": " << b.min_ns << ", \"max_ns\": " << b.max_ns
      << ", \"mean_ns\": ";
-  json_number(os, b.mean_ns);
+  obs::write_json_number(os, b.mean_ns);
   os << ", \"imbalance\": ";
-  json_number(os, b.imbalance);
+  obs::write_json_number(os, b.imbalance);
   os << ", \"avg_concurrency\": ";
-  json_number(os, b.avg_concurrency);
+  obs::write_json_number(os, b.avg_concurrency);
   os << "}\n        }";
 }
 
@@ -110,34 +77,34 @@ void json_derived(std::ostream& os, const LaunchProfile& lp,
                   const ModelParams& model) {
   const DerivedLaunch d = derive_launch(lp, model);
   os << "        \"derived\": {\n          \"gpu\": ";
-  json_string(os, model.gpu);
+  obs::write_json_string(os, model.gpu);
   os << ",\n          \"stage_s\": {";
   bool first = true;
   for (unsigned s = 0; s < kNumStages; ++s) {
     if (d.stage_s[s] == 0) continue;
     os << (first ? "" : ", ");
-    json_string(os, stage_name(static_cast<Stage>(s)));
+    obs::write_json_string(os, stage_name(static_cast<Stage>(s)));
     os << ": ";
-    json_number(os, d.stage_s[s]);
+    obs::write_json_number(os, d.stage_s[s]);
     first = false;
   }
   os << "},\n          \"device_s\": ";
-  json_number(os, d.device_s);
+  obs::write_json_number(os, d.device_s);
   os << ",\n          \"effective_gbps\": ";
-  json_number(os, d.effective_gbps);
+  obs::write_json_number(os, d.effective_gbps);
   os << ",\n          \"arithmetic_intensity\": ";
-  json_number(os, d.arithmetic_intensity);
+  obs::write_json_number(os, d.arithmetic_intensity);
   os << ",\n          \"bound\": ";
-  json_string(os, d.bound);
+  obs::write_json_string(os, d.bound);
   os << "\n        }";
 }
 
 void json_launch(std::ostream& os, const LaunchProfile& lp,
                  const ReportOptions& opts) {
   os << "      {\n        \"kernel\": ";
-  json_string(os, lp.kernel);
+  obs::write_json_string(os, lp.kernel);
   os << ",\n        \"stream\": ";
-  json_string(os, lp.stream);
+  obs::write_json_string(os, lp.stream);
   os << ",\n        \"grid_blocks\": " << lp.grid_blocks << ",\n";
   json_counters(os, lp);
   if (opts.include_timing) {

@@ -5,35 +5,9 @@
 #include <thread>
 
 #include "szp/gpusim/view.hpp"
-#include "szp/obs/metrics.hpp"
 #include "szp/obs/tracer.hpp"
 
 namespace szp::gpusim {
-
-namespace {
-
-/// The GS tail-latency story (paper §4.3): how far each partition had to
-/// walk back, and how long it spun on unpublished descriptors.
-void record_lookback(std::uint64_t t0_ns, size_t partition,
-                     std::uint64_t depth, std::uint64_t spins) {
-  if (obs::tracing_enabled()) {
-    obs::complete("gs", "lookback", t0_ns, obs::now_ns() - t0_ns, "depth",
-                  depth, "spins", spins);
-  }
-  if (obs::metrics_enabled()) {
-    static auto& depth_hist = obs::Registry::instance().histogram(
-        "gs.lookback.depth", obs::Histogram::pow2_bounds(16));
-    static auto& spin_hist = obs::Registry::instance().histogram(
-        "gs.lookback.spins", obs::Histogram::pow2_bounds(24));
-    static auto& calls = obs::Registry::instance().counter("gs.lookback.calls");
-    depth_hist.observe(static_cast<double>(depth));
-    spin_hist.observe(static_cast<double>(spins));
-    calls.add();
-  }
-  (void)partition;
-}
-
-}  // namespace
 
 std::uint64_t ChainedScanState::publish_and_lookback(const BlockCtx& ctx,
                                                      Stage stage, size_t p,
@@ -103,7 +77,12 @@ std::uint64_t ChainedScanState::publish_and_lookback(const BlockCtx& ctx,
   // deterministic stage counters.
   ctx.lookback_read(stage, reads * sizeof(std::uint64_t));
   ctx.lookback(reads, spins);
-  record_lookback(t0_ns, p, reads, spins);
+  // The GS tail-latency story (paper §4.3): how far this partition had to
+  // walk back, and how long it spun on unpublished descriptors.
+  if (obs::tracing_enabled()) {
+    obs::complete("gs", "lookback", t0_ns, obs::now_ns() - t0_ns, "depth",
+                  reads, "spins", spins);
+  }
 
   ctx.sync_release(&st[p]);
   self.store((kFlagPrefix << kFlagShift) | ((exclusive + aggregate) & kValueMask),

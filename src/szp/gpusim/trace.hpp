@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 
 namespace szp::gpusim {
 
@@ -133,8 +132,8 @@ class Trace {
 /// TraceSnapshot without stopping the world.
 ///
 /// Scopes nest (an engine-level scope around a codec call that itself
-/// opens per-op scopes): every accounting site walks the parent chain and
-/// adds to each scope, so outer scopes see the sum of their inner ops.
+/// opens per-op scopes): count() walks the parent chain and adds to each
+/// scope, so outer scopes see the sum of their inner ops.
 class OpTraceScope {
  public:
   OpTraceScope();
@@ -154,17 +153,15 @@ class OpTraceScope {
   OpTraceScope* parent_ = nullptr;
 };
 
-/// Apply `fn(Trace&)` to every scope in the chain headed at `head`.
-/// Kernel launches capture the head on the launching thread and pass it
-/// here from worker threads; host-side sites use the TLS overload below.
+/// The one entry point for a device-side count: applies `fn(Trace&)` to
+/// the owning Device's Trace and to every scope in the chain headed at
+/// `head`. Kernel block workers pass the head captured on the launching
+/// thread (BlockCtx); host-side sites go through Device::count, which
+/// passes the calling thread's head.
 template <typename Fn>
-inline void for_each_op_trace(OpTraceScope* head, Fn&& fn) {
+inline void count(Trace& device, OpTraceScope* head, const Fn& fn) {
+  fn(device);
   for (OpTraceScope* s = head; s != nullptr; s = s->parent()) fn(s->trace());
-}
-
-template <typename Fn>
-inline void for_each_op_trace(Fn&& fn) {
-  for_each_op_trace(OpTraceScope::current(), std::forward<Fn>(fn));
 }
 
 // --- device timeline (stream op records) -------------------------------

@@ -6,25 +6,12 @@
 #include <ostream>
 #include <vector>
 
+#include "szp/obs/json.hpp"
 #include "szp/obs/tracer.hpp"
 
 namespace szp::obs {
 
 namespace {
-
-/// Events carry literal names; escaping is still applied for safety.
-void write_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << *s;
-    }
-  }
-  os << '"';
-}
 
 /// Chrome traces use microsecond timestamps; emit fractional µs to keep
 /// nanosecond resolution.
@@ -116,7 +103,7 @@ void write_chrome_trace(std::ostream& os) {
                                   : t.thread_name;
     os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
        << t.tid << ", \"args\": {\"name\": ";
-    write_json_string(os, label.c_str());
+    write_json_string(os, label);
     os << "}}";
     if (t.overwritten > 0) {
       sep();

@@ -1,7 +1,6 @@
 #include "szp/obs/hostprof/hostprof.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 
 #include "szp/obs/hostprof/report.hpp"
@@ -43,77 +42,18 @@ std::string_view counter_name(HostCounter c) {
   return "?";
 }
 
-Options options_from_string(std::string_view spec) {
-  Options o;
-  if (spec.empty() || spec == "0" || spec == "off") return o;
-  o.enabled = true;
-  if (spec == "1" || spec == "on") return o;
-  o.export_path.assign(spec);
-  return o;
-}
-
 Options options_from_env() {
   Options o = options_from_string(hostprof_env_spec());
   if (o.enabled) o.from_env = true;
   return o;
 }
 
-namespace {
-
-/// Power-of-two histogram: bucket i counts values with bit_width i
-/// (v = 0 → bucket 0, 1 → 1, 2..3 → 2, ...). Concurrent observes are
-/// relaxed adds, so totals are order-independent and deterministic.
-struct AtomicPow2Hist {
-  static constexpr unsigned kBuckets = 65;  // uint64 bit widths 0..64
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> max{0};
-
-  void observe(std::uint64_t v) {
-    buckets[static_cast<unsigned>(std::bit_width(v))].fetch_add(
-        1, std::memory_order_relaxed);
-    count.fetch_add(1, std::memory_order_relaxed);
-    sum.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t cur = max.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  void reset() {
-    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
-    count.store(0, std::memory_order_relaxed);
-    sum.store(0, std::memory_order_relaxed);
-    max.store(0, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] HistSnapshot snapshot() const {
-    HistSnapshot out;
-    out.buckets.resize(kBuckets);
-    for (unsigned i = 0; i < kBuckets; ++i) {
-      out.buckets[i] = buckets[i].load(std::memory_order_relaxed);
-    }
-    // Trim trailing empty buckets so two runs with the same populated
-    // range serialize identically and compactly.
-    while (!out.buckets.empty() && out.buckets.back() == 0) {
-      out.buckets.pop_back();
-    }
-    out.count = count.load(std::memory_order_relaxed);
-    out.sum = sum.load(std::memory_order_relaxed);
-    out.max = max.load(std::memory_order_relaxed);
-    return out;
-  }
-};
-
-}  // namespace
-
 struct Profiler::Registry {
   mutable Mutex mutex;
   std::string export_path SZP_GUARDED_BY(mutex);
   std::array<std::atomic<std::uint64_t>, kNumHostCounters> counters{};
-  AtomicPow2Hist chunk_blocks;
-  AtomicPow2Hist chunk_payload_bytes;
+  AtomicPow2Hist<> chunk_blocks;
+  AtomicPow2Hist<> chunk_payload_bytes;
 };
 
 Profiler& Profiler::instance() {

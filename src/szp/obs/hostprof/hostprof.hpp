@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "szp/obs/lane.hpp"
+#include "szp/obs/profiling.hpp"
 
 namespace szp::obs::hostprof {
 
@@ -49,25 +50,11 @@ namespace szp::obs::hostprof {
           obs::detail::kHostprof) != 0;
 }
 
-/// Profiler configuration, parsed from SZP_HOSTPROF.
-struct Options {
-  bool enabled = false;
-  bool from_env = false;
-  /// Non-empty when SZP_HOSTPROF named a file: the JSON report is written
-  /// there at process exit.
-  std::string export_path;
-
-  [[nodiscard]] static Options off() { return {}; }
-  [[nodiscard]] static Options on() {
-    Options o;
-    o.enabled = true;
-    return o;
-  }
-};
-
-/// Parse an SZP_HOSTPROF-style value: "" / "0" / "off" → disabled,
-/// "1" / "on" → collect only, anything else → collect + export path.
-[[nodiscard]] Options options_from_string(std::string_view spec);
+/// Profiler configuration, parsed from SZP_HOSTPROF (the value's shape
+/// is obs::options_from_string's).
+using Options = obs::ProfilerOptions;
+using obs::HistSnapshot;
+using obs::options_from_string;
 
 /// Read SZP_HOSTPROF from the environment (sets from_env when armed).
 [[nodiscard]] Options options_from_env();
@@ -106,13 +93,6 @@ inline constexpr unsigned kNumHostCounters =
 [[nodiscard]] std::string_view counter_name(HostCounter c);
 
 // --- snapshot value types (plain data, exporter input) -----------------
-
-struct HistSnapshot {
-  std::vector<std::uint64_t> buckets;  // pow2 buckets, bucket i ~ bit_width i
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t max = 0;
-};
 
 struct ThreadSnapshot {
   std::uint32_t tid = 0;    // lane id, registration order

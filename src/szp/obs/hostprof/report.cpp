@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "szp/obs/json.hpp"
+
 namespace szp::obs::hostprof {
 
 namespace {
@@ -14,52 +16,18 @@ constexpr std::array<Bucket, 5> kWorkBuckets = {
 constexpr std::array<Bucket, 3> kOverheadBuckets = {
     Bucket::kQueueWait, Bucket::kDispatch, Bucket::kBarrier};
 
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-/// Fixed rendering so a given double always serializes the same way
-/// regardless of stream state.
-void json_number(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-void json_hist(std::ostream& os, const HistSnapshot& h, const char* indent) {
-  os << "{\n"
-     << indent << "  \"count\": " << h.count << ",\n"
-     << indent << "  \"sum\": " << h.sum << ",\n"
-     << indent << "  \"max\": " << h.max << ",\n"
-     << indent << "  \"pow2_buckets\": [";
-  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-    os << (i ? ", " : "") << h.buckets[i];
-  }
-  os << "]\n" << indent << "}";
-}
-
 /// The deterministic section: fixed enum order, integers only.
 void json_counters(std::ostream& os, const Snapshot& s) {
   os << "  \"counters\": {\n";
   for (unsigned c = 0; c < kNumHostCounters; ++c) {
     os << "    ";
-    json_string(os, counter_name(static_cast<HostCounter>(c)));
+    write_json_string(os, counter_name(static_cast<HostCounter>(c)));
     os << ": " << s.counters[c] << ",\n";
   }
   os << "    \"chunk_blocks\": ";
-  json_hist(os, s.chunk_blocks, "    ");
+  write_json_hist(os, s.chunk_blocks, "    ");
   os << ",\n    \"chunk_payload_bytes\": ";
-  json_hist(os, s.chunk_payload_bytes, "    ");
+  write_json_hist(os, s.chunk_payload_bytes, "    ");
   os << "\n  }";
 }
 
@@ -68,7 +36,7 @@ void json_bucket_ns(std::ostream& os,
   os << '{';
   for (unsigned b = 0; b < kNumBuckets; ++b) {
     os << (b ? ", " : "");
-    json_string(os, bucket_name(static_cast<Bucket>(b)));
+    write_json_string(os, bucket_name(static_cast<Bucket>(b)));
     os << ": " << ns[b];
   }
   os << '}';
@@ -77,20 +45,20 @@ void json_bucket_ns(std::ostream& os,
 void json_attribution_pct(std::ostream& os, const Attribution& a) {
   os << '{';
   for (unsigned b = 0; b < kNumBuckets; ++b) {
-    json_string(os, bucket_name(static_cast<Bucket>(b)));
+    write_json_string(os, bucket_name(static_cast<Bucket>(b)));
     os << ": ";
-    json_number(os, a.pct(static_cast<Bucket>(b)));
+    write_json_number(os, a.pct(static_cast<Bucket>(b)));
     os << ", ";
   }
   os << "\"idle\": ";
-  json_number(os, a.idle_pct());
+  write_json_number(os, a.idle_pct());
   os << '}';
 }
 
 void json_thread(std::ostream& os, const ThreadSnapshot& t) {
   const Attribution a = attribution_of(t);
   os << "    {\"tid\": " << t.tid << ", \"label\": ";
-  json_string(os, t.label);
+  write_json_string(os, t.label);
   os << ", \"alive\": " << (t.alive ? "true" : "false")
      << ", \"wall_ns\": " << t.wall_ns << ", \"tasks\": " << t.tasks
      << ", \"batches\": " << t.batches << ",\n     \"bucket_ns\": ";
@@ -172,18 +140,18 @@ void write_hostprof_json(std::ostream& os, const Snapshot& s) {
      << ",\n    \"overhead_ns\": " << agg.overhead_ns()
      << ",\n    \"idle_ns\": " << agg.idle_ns << ",\n    \"work_pct\": ";
   const double wall = static_cast<double>(agg.wall_ns);
-  json_number(os, wall > 0 ? 100.0 * static_cast<double>(agg.work_ns()) / wall
+  write_json_number(os, wall > 0 ? 100.0 * static_cast<double>(agg.work_ns()) / wall
                            : 0.0);
   os << ",\n    \"overhead_pct\": ";
-  json_number(
+  write_json_number(
       os, wall > 0 ? 100.0 * static_cast<double>(agg.overhead_ns()) / wall
                    : 0.0);
   os << ",\n    \"idle_pct\": ";
-  json_number(os, agg.idle_pct());
+  write_json_number(os, agg.idle_pct());
   os << ",\n    \"attribution_pct\": ";
   json_attribution_pct(os, agg);
   os << ",\n    \"dominant_overhead\": ";
-  json_string(os, dominant_overhead(agg));
+  write_json_string(os, dominant_overhead(agg));
   os << "\n  }\n}\n";
 }
 

@@ -6,6 +6,7 @@
 #include <iostream>
 #include <string_view>
 
+#include "szp/obs/json.hpp"
 #include "szp/obs/telemetry/flight_recorder.hpp"
 #include "szp/obs/telemetry/telemetry.hpp"
 #include "szp/obs/tracer.hpp"
@@ -79,30 +80,6 @@ void Logger::set_rate_limit(std::uint64_t per_sec) {
   im.limit = per_sec > 0 ? per_sec : 1;
   im.tokens = im.limit;
 }
-
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void Logger::log(LogLevel lvl, const char* component,
                  const std::string& message) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <ostream>
 
+#include "szp/obs/json.hpp"
 #include "szp/obs/tracer.hpp"
 #include "szp/util/thread_annotations.hpp"
 
@@ -231,24 +232,6 @@ void Registry::reset() {
   for (auto& [name, g] : im.gauges) g->reset();
   for (auto& [name, h] : im.histograms) h->reset();
 }
-
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void Registry::write_json(std::ostream& os) const {
   Impl& im = impl();

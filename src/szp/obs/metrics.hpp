@@ -11,7 +11,6 @@
 //   szp.encode.fk                                 F_k bit-width histogram
 //   szp.compress.calls/.in_bytes/.out_bytes       per-call volume
 //   szp.compress.last_ratio                       compression ratio gauge
-//   gs.lookback.depth / gs.lookback.spins         chained-scan tail story
 //   robust.*                                      salvage/corruption counts
 #pragma once
 

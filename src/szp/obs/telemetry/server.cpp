@@ -1,17 +1,10 @@
 #include "szp/obs/telemetry/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 
-#include "szp/obs/log.hpp"
 #include "szp/obs/telemetry/exposition.hpp"
 #include "szp/util/thread_annotations.hpp"
 
@@ -21,17 +14,13 @@ struct TelemetryServer::Impl {
   mutable Mutex mutex;
   CondVar wake;
   bool stopping SZP_GUARDED_BY(mutex) = false;
-  bool tcp_running SZP_GUARDED_BY(mutex) = false;
-  bool snap_running SZP_GUARDED_BY(mutex) = false;
-  int listen_fd SZP_GUARDED_BY(mutex) = -1;
-  int bound_port SZP_GUARDED_BY(mutex) = 0;
+  bool running SZP_GUARDED_BY(mutex) = false;
   std::string snapshot_path SZP_GUARDED_BY(mutex);
   int snapshot_period_ms SZP_GUARDED_BY(mutex) = 1000;
-  // Threads are joined by stop(); raw std::thread is whitelisted for
-  // this file in szp_lint (the pipeline/stream wrappers are built for
-  // work queues, not a blocking accept loop).
-  std::thread tcp_thread;
-  std::thread snap_thread;
+  // Joined by stop(); raw std::thread is whitelisted for this file in
+  // szp_lint (the pipeline/stream wrappers are built for work queues,
+  // not a sleeping writer loop).
+  std::thread thread;
 };
 
 TelemetryServer& TelemetryServer::instance() {
@@ -45,29 +34,6 @@ TelemetryServer::Impl& TelemetryServer::impl() const {
 }
 
 namespace {
-
-/// Serve one accepted connection: drain whatever request bytes arrived,
-/// write an HTTP/1.0 response with the exposition text, close.
-void serve_connection(int fd) {
-  char req[512];
-  (void)::recv(fd, req, sizeof(req), MSG_DONTWAIT);
-  const std::string body = prometheus_text();
-  char head[160];
-  std::snprintf(head, sizeof(head),
-                "HTTP/1.0 200 OK\r\n"
-                "Content-Type: text/plain; version=0.0.4\r\n"
-                "Content-Length: %zu\r\n"
-                "Connection: close\r\n\r\n",
-                body.size());
-  std::string resp = std::string(head) + body;
-  std::size_t off = 0;
-  while (off < resp.size()) {
-    const ::ssize_t w = ::send(fd, resp.data() + off, resp.size() - off, 0);
-    if (w <= 0) break;
-    off += static_cast<std::size_t>(w);
-  }
-  ::close(fd);
-}
 
 /// Write the snapshot atomically: tmp file + rename.
 void write_snapshot(const std::string& path) {
@@ -84,84 +50,35 @@ void write_snapshot(const std::string& path) {
 
 }  // namespace
 
-bool TelemetryServer::start(const Options& opts) {
+void TelemetryServer::start(const Options& opts) {
+  if (opts.snapshot_path.empty()) return;
   Impl& im = impl();
-  bool ok = true;
-
-  if (opts.port >= 0) {
-    const LockGuard lock(im.mutex);
-    if (!im.tcp_running) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) {
-        ok = false;
-      } else {
-        const int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        ::sockaddr_in addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(static_cast<std::uint16_t>(opts.port));
-        if (::bind(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)) !=
-                0 ||
-            ::listen(fd, 8) != 0) {
-          ::close(fd);
-          ok = false;
-        } else {
-          ::socklen_t len = sizeof(addr);
-          ::getsockname(fd, reinterpret_cast<::sockaddr*>(&addr), &len);
-          im.listen_fd = fd;
-          im.bound_port = ntohs(addr.sin_port);
-          im.tcp_running = true;
-          im.stopping = false;
-          im.tcp_thread = std::thread([this, fd] {
-            for (;;) {
-              const int conn = ::accept(fd, nullptr, nullptr);
-              if (conn < 0) break;  // listen fd closed by stop()
-              serve_connection(conn);
-            }
-            Impl& tim = impl();
-            const LockGuard tlock(tim.mutex);
-            tim.tcp_running = false;
-          });
-          SZP_LOG_INFO("telemetry", "exposition listening on 127.0.0.1:%d",
-                       im.bound_port);
-        }
+  const LockGuard lock(im.mutex);
+  if (im.running) return;
+  im.snapshot_path = opts.snapshot_path;
+  im.snapshot_period_ms =
+      opts.snapshot_period_ms > 0 ? opts.snapshot_period_ms : 1000;
+  im.running = true;
+  im.stopping = false;
+  im.thread = std::thread([this] {
+    Impl& tim = impl();
+    for (;;) {
+      std::string path;
+      int period_ms;
+      {
+        UniqueLock lk(tim.mutex);
+        if (tim.stopping) break;
+        path = tim.snapshot_path;
+        period_ms = tim.snapshot_period_ms;
+      }
+      write_snapshot(path);
+      {
+        UniqueLock lk(tim.mutex);
+        if (tim.stopping) break;
+        tim.wake.wait_for(lk, std::chrono::milliseconds(period_ms));
       }
     }
-  }
-
-  if (!opts.snapshot_path.empty()) {
-    const LockGuard lock(im.mutex);
-    if (!im.snap_running) {
-      im.snapshot_path = opts.snapshot_path;
-      im.snapshot_period_ms =
-          opts.snapshot_period_ms > 0 ? opts.snapshot_period_ms : 1000;
-      im.snap_running = true;
-      im.stopping = false;
-      im.snap_thread = std::thread([this] {
-        Impl& tim = impl();
-        for (;;) {
-          std::string path;
-          int period_ms;
-          {
-            UniqueLock lk(tim.mutex);
-            if (tim.stopping) break;
-            path = tim.snapshot_path;
-            period_ms = tim.snapshot_period_ms;
-          }
-          write_snapshot(path);
-          {
-            UniqueLock lk(tim.mutex);
-            if (tim.stopping) break;
-            tim.wake.wait_for(lk, std::chrono::milliseconds(period_ms));
-          }
-        }
-      });
-    }
-  }
-
-  return ok;
+  });
 }
 
 void TelemetryServer::stop() {
@@ -170,36 +87,22 @@ void TelemetryServer::stop() {
   {
     const LockGuard lock(im.mutex);
     im.stopping = true;
-    if (im.listen_fd >= 0) {
-      // shutdown + close unblocks the accept loop.
-      ::shutdown(im.listen_fd, SHUT_RDWR);
-      ::close(im.listen_fd);
-      im.listen_fd = -1;
-      im.bound_port = 0;
-    }
     final_snapshot = im.snapshot_path;
     im.wake.notify_all();
   }
-  if (im.tcp_thread.joinable()) im.tcp_thread.join();
-  if (im.snap_thread.joinable()) im.snap_thread.join();
+  if (im.thread.joinable()) im.thread.join();
   {
     const LockGuard lock(im.mutex);
-    im.snap_running = false;
+    im.running = false;
     im.snapshot_path.clear();
   }
   if (!final_snapshot.empty()) write_snapshot(final_snapshot);
 }
 
-int TelemetryServer::port() const {
-  Impl& im = impl();
-  const LockGuard lock(im.mutex);
-  return im.bound_port;
-}
-
 bool TelemetryServer::running() const {
   Impl& im = impl();
   const LockGuard lock(im.mutex);
-  return im.tcp_running || im.snap_running;
+  return im.running;
 }
 
 }  // namespace szp::obs::telemetry

@@ -1,14 +1,6 @@
-// Tiny polling-friendly exposition server.
-//
-// Two modes, independently enabled:
-//   - TCP: listen on 127.0.0.1:<port>; every accepted connection gets a
-//     minimal HTTP/1.0 200 response whose body is the Prometheus text
-//     (so curl and any scraper work), then the connection closes. One
-//     accept thread, one connection at a time — this is a debug/ops
-//     peephole, not a web server.
-//   - Snapshot: every period_ms, write the exposition text to a file
-//     (tmp + rename, so readers never see a torn snapshot). For
-//     environments without sockets.
+// Periodic exposition snapshot: every period_ms, write the Prometheus
+// text to a file (tmp + rename, so readers never see a torn snapshot),
+// and once more at stop(). Any scraper that can read a file can poll it.
 #pragma once
 
 #include <string>
@@ -18,9 +10,6 @@ namespace szp::obs::telemetry {
 class TelemetryServer {
  public:
   struct Options {
-    /// -1 disables TCP; 0 binds an ephemeral port (see port() after
-    /// start); >0 binds that port on 127.0.0.1.
-    int port = -1;
     /// Empty disables snapshots.
     std::string snapshot_path;
     int snapshot_period_ms = 1000;
@@ -28,15 +17,12 @@ class TelemetryServer {
 
   static TelemetryServer& instance();
 
-  /// Idempotent; returns false if a requested mode could not start
-  /// (e.g. the port is taken). Already-running modes are left alone.
-  bool start(const Options& opts);
+  /// Idempotent: an already-running writer is left alone, and an empty
+  /// snapshot_path starts nothing.
+  void start(const Options& opts);
 
-  /// Stop threads, close sockets, write one final snapshot.
+  /// Stop the writer thread and write one final snapshot.
   void stop();
-
-  /// Bound TCP port (0 when TCP mode is off).
-  [[nodiscard]] int port() const;
 
   [[nodiscard]] bool running() const;
 

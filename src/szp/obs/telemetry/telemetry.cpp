@@ -34,7 +34,10 @@ void apply_directive(const std::string& d, TelemetryServer::Options& opts,
   if (d.empty() || d == "0" || d == "off") return;
   enable = true;
   if (d.rfind("port=", 0) == 0) {
-    opts.port = static_cast<int>(std::strtol(d.c_str() + 5, nullptr, 10));
+    SZP_LOG_WARN("telemetry",
+                 "SZP_TELEMETRY %s ignored: there is no scrape socket; use "
+                 "snapshot=<path>",
+                 d.c_str());
   } else if (d.rfind("snapshot=", 0) == 0) {
     opts.snapshot_path = d.substr(9);
   } else if (d.rfind("period=", 0) == 0) {
@@ -70,7 +73,7 @@ void init_from_env() {
       hooked = true;
     }
 
-    // SZP_TELEMETRY=1|on|port=..,snapshot=..,period=..
+    // SZP_TELEMETRY=1|on|snapshot=..,period=..
     const std::string spec = szp::telemetry_env_spec();
     if (!spec.empty()) {
       TelemetryServer::Options opts;
@@ -90,11 +93,7 @@ void init_from_env() {
         // SZP_STATS (chained below) — they cost real time in the codec
         // inner loops and would blow the <2% overhead contract.
         fr::set_enabled(true);
-        if (opts.port >= 0 || !opts.snapshot_path.empty()) {
-          if (!TelemetryServer::instance().start(opts)) {
-            SZP_LOG_WARN("telemetry", "exposition server failed to start");
-          }
-        }
+        TelemetryServer::instance().start(opts);
         hooked = true;
       }
     }

@@ -6,11 +6,11 @@
 // Env knobs (see docs/OBSERVABILITY.md):
 //   SZP_TELEMETRY  "1"/"on" enables the flight recorder + metrics
 //                  registry; comma-separated directives add exposition:
-//                    port=<n>        serve Prometheus text on
-//                                    127.0.0.1:<n> (0 = ephemeral)
 //                    snapshot=<path> periodically write the exposition
 //                                    text to <path> (atomic rename)
 //                    period=<ms>     snapshot period (default 1000)
+//                  (a port=<n> directive logs a warning: there is no
+//                  scrape socket)
 //   SZP_LOG        <level>[:<path>] — set the log level; with a path,
 //                  add a JSON-lines sink there.
 //   SZP_CRASH_DIR  <dir> — install the crash handler; fatal signals /

@@ -35,8 +35,8 @@ namespace szp {
 [[nodiscard]] std::string hostprof_env_spec();
 
 /// SZP_TELEMETRY raw value: "" when unset; "1"/"on" enables the flight
-/// recorder + metrics, comma-separated directives (port=<n>,
-/// snapshot=<path>, period=<ms>) add live exposition. Parsed by
+/// recorder + metrics, comma-separated directives (snapshot=<path>,
+/// period=<ms>) add a periodic exposition snapshot file. Parsed by
 /// obs::telemetry::init_from_env().
 [[nodiscard]] std::string telemetry_env_spec();
 

@@ -119,6 +119,32 @@ TEST_P(ScanEquivalence, ChainedAndTwoPassEmitIdenticalStreams) {
   EXPECT_EQ(run(core::ScanAlgo::kChained), run(core::ScanAlgo::kTwoPass));
 }
 
+// The ablation's BB compute is the chained kernel's: shuffle work per
+// element of every non-zero block, whichever scan places the payloads.
+TEST_P(ScanEquivalence, ChainedAndTwoPassCountTheSameBitShuffleOps) {
+  const auto field = data::make_field(GetParam(), 0, 0.02);
+  core::Params p;
+  p.error_bound = 1e-3;
+
+  auto bb_ops = [&](core::ScanAlgo algo) {
+    p.scan = algo;
+    gpusim::Device dev;
+    auto d_in = gpusim::to_device<float>(dev, field.values);
+    gpusim::DeviceBuffer<byte_t> d_cmp(
+        dev, core::max_compressed_bytes(field.count(), p.block_len));
+    const auto res = core::compress_device(
+        dev, d_in, field.count(), p,
+        core::resolve_eb(p, field.value_range()), d_cmp);
+    return res.trace
+        .stages[static_cast<unsigned>(gpusim::Stage::kBitShuffle)]
+        .ops;
+  };
+
+  const std::uint64_t chained = bb_ops(core::ScanAlgo::kChained);
+  EXPECT_GT(chained, 0u);
+  EXPECT_EQ(chained, bb_ops(core::ScanAlgo::kTwoPass));
+}
+
 INSTANTIATE_TEST_SUITE_P(Suites, ScanEquivalence,
                          ::testing::Values(data::Suite::kHurricane,
                                            data::Suite::kNyx,

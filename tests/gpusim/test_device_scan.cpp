@@ -65,14 +65,14 @@ TEST(Launch, CoversEveryBlockExactlyOnce) {
 }
 
 TEST(Launch, LogsKernelNames) {
-  Device dev;
+  Device dev(2, sanitize::Tools::none(), profile::Options::on());
   launch(dev, "alpha", 3, [](const BlockCtx&) {});
   launch(dev, "beta", 7, [](const BlockCtx&) {});
-  const auto log = dev.launch_log();
+  const auto log = dev.profile_snapshot().launches;
   ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].name, "alpha");
+  EXPECT_EQ(log[0].kernel, "alpha");
   EXPECT_EQ(log[0].grid_blocks, 3u);
-  EXPECT_EQ(log[1].name, "beta");
+  EXPECT_EQ(log[1].kernel, "beta");
 }
 
 TEST(Launch, PropagatesExceptions) {
@@ -164,14 +164,14 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ScanSize,
 TEST(Scan, ChainedUsesOneKernelTwoPassUsesThree) {
   Device dev;
   DeviceBuffer<std::uint64_t> a(dev, 10000, 1);
-  dev.clear_launch_log();
+  TraceSnapshot before = dev.snapshot();
   (void)chained_exclusive_scan(dev, a, Stage::kGlobalSync);
-  EXPECT_EQ(dev.launch_log().size(), 1u);
+  EXPECT_EQ((dev.snapshot() - before).kernel_launches, 1u);
 
   DeviceBuffer<std::uint64_t> b(dev, 10000, 1);
-  dev.clear_launch_log();
+  before = dev.snapshot();
   (void)twopass_exclusive_scan(dev, b, Stage::kGlobalSync);
-  EXPECT_EQ(dev.launch_log().size(), 3u);
+  EXPECT_EQ((dev.snapshot() - before).kernel_launches, 3u);
 }
 
 TEST(Scan, ChainedStressManyRounds) {

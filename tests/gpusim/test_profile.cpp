@@ -130,6 +130,51 @@ TEST(Profile, DeviceCodecCountersAreNonzero) {
   }
 }
 
+// The profile keeps no second copy of what the Trace counts: a launch's
+// stage counters plus its lookback polling are that launch's own Trace
+// diff (its timeline record), and the session's memcpy bytes are the
+// Trace's, header and size readbacks included.
+TEST(Profile, CountersMatchTheTrace) {
+  for (const core::ScanAlgo scan :
+       {core::ScanAlgo::kChained, core::ScanAlgo::kTwoPass}) {
+    SCOPED_TRACE(scan == core::ScanAlgo::kChained ? "chained" : "two-pass");
+    gs::Device dev(4, gs::sanitize::Tools::none(), prof::Options::on());
+    dev.set_timeline_enabled(true);
+    core::Params params = default_params();
+    params.scan = scan;
+    run_codec(dev, params);
+    const auto session = dev.profile_snapshot();
+
+    std::vector<gs::OpRecord> kernels;
+    for (const auto& op : dev.timeline()) {
+      if (op.kind == gs::OpKind::kKernel) kernels.push_back(op);
+    }
+    ASSERT_EQ(kernels.size(), session.launches.size());
+    for (size_t i = 0; i < kernels.size(); ++i) {
+      const auto& lp = session.launches[i];
+      const gs::TraceSnapshot& diff = kernels[i].trace;
+      SCOPED_TRACE(lp.kernel);
+      EXPECT_EQ(lp.kernel, kernels[i].name);
+      for (unsigned s = 0; s < gs::kNumStages; ++s) {
+        const auto st = static_cast<gs::Stage>(s);
+        const std::uint64_t polled =
+            st == gs::Stage::kGlobalSync ? lp.lookback_read_bytes : 0;
+        EXPECT_EQ(lp.stages[s].read_bytes + polled,
+                  diff.stages[s].read_bytes)
+            << gs::stage_name(st);
+        EXPECT_EQ(lp.stages[s].write_bytes, diff.stages[s].write_bytes)
+            << gs::stage_name(st);
+        EXPECT_EQ(lp.stages[s].ops, diff.stages[s].ops) << gs::stage_name(st);
+      }
+    }
+
+    const gs::TraceSnapshot total = dev.snapshot();
+    EXPECT_EQ(session.memcpy.h2d_bytes, total.h2d_bytes);
+    EXPECT_EQ(session.memcpy.d2h_bytes, total.d2h_bytes);
+    EXPECT_EQ(session.memcpy.d2d_bytes, total.d2d_bytes);
+  }
+}
+
 TEST(Profile, BarriersAndWarpOpsCountedInSyntheticKernel) {
   gs::Device dev(2, gs::sanitize::Tools::none(), prof::Options::on());
   gs::launch(dev, "synthetic", 4, [](const gs::BlockCtx& ctx) {

@@ -11,11 +11,13 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "szp/core/compressor.hpp"
 #include "szp/gpusim/buffer.hpp"
 #include "szp/obs/chrome_trace.hpp"
+#include "szp/obs/lane.hpp"
 #include "szp/obs/tracer.hpp"
 #include "support/mini_json.hpp"
 
@@ -152,6 +154,25 @@ TEST_F(ChromeTraceTest, WorkerThreadsAreNamedLanes) {
   }
   EXPECT_GE(worker_lanes, 1u);
   EXPECT_EQ(process_names, 1u);
+}
+
+TEST_F(ChromeTraceTest, ControlCharactersInThreadNamesAreEscaped) {
+  std::thread t([] {
+    obs::set_thread_name("tab\there");
+    const obs::Span span("test", "named");
+  });
+  t.join();
+  std::ostringstream os;
+  obs::write_chrome_trace(os);
+  JsonValue doc;
+  ASSERT_NO_THROW(doc = JsonParser(os.str()).parse());
+  bool found = false;
+  for (const auto& e : doc.find("traceEvents")->arr) {
+    const JsonValue* args = e.find("args");
+    const JsonValue* label = args != nullptr ? args->find("name") : nullptr;
+    if (label != nullptr && label->str == "tab?here") found = true;
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST_F(ChromeTraceTest, EmptyRecordingStillParses) {

@@ -8,6 +8,7 @@
 
 #include "szp/obs/metrics.hpp"
 #include "szp/obs/tracer.hpp"
+#include "support/mini_json.hpp"
 
 namespace {
 
@@ -309,6 +310,17 @@ TEST_F(MetricsTest, WriteJsonIsWellFormedEnough) {
   // a real parser over exporter output).
   EXPECT_EQ(std::count(s.begin(), s.end(), '{'),
             std::count(s.begin(), s.end(), '}'));
+}
+
+TEST_F(MetricsTest, WriteJsonEscapesControlCharacters) {
+  obs::Registry::instance().counter("cr\rname").add(1);
+  std::ostringstream os;
+  obs::Registry::instance().write_json(os);
+  testsupport::JsonValue doc;
+  ASSERT_NO_THROW(doc = testsupport::JsonParser(os.str()).parse());
+  const testsupport::JsonValue* c = doc.find("counters")->find("cr?name");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->num, 1.0);
 }
 
 TEST_F(MetricsTest, WriteTextSkipsEmptyInstruments) {

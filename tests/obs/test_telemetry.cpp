@@ -1,15 +1,12 @@
 // Production-telemetry suite: flight recorder semantics and dump schema,
-// structured-log JSON-lines sink, Prometheus exposition, the TCP/snapshot
-// telemetry server, crash-bundle death tests, the disabled-path overhead
+// structured-log JSON-lines sink, Prometheus exposition, the snapshot
+// file writer, crash-bundle death tests, the disabled-path overhead
 // guard, and the end-to-end trace-ID contract (one ID follows a
 // compress_batch() request from the API span through the stream lanes
 // into logs, metrics exemplars and chrome-trace flow events).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -386,47 +383,22 @@ TEST(Exposition, RegistryInstrumentsAppearWhenMetricsAreOn) {
 
 // ------------------------------------------------- telemetry server ----
 
-TEST(TelemetryServer, TcpScrapeAndSnapshotFile) {
+TEST(TelemetryServer, SnapshotFile) {
   const std::string dir = fresh_dir("server");
   const std::string snap = dir + "/metrics.prom";
   auto& srv = obs::telemetry::TelemetryServer::instance();
   obs::telemetry::TelemetryServer::Options opts;
-  opts.port = 0;  // ephemeral
   opts.snapshot_path = snap;
   opts.snapshot_period_ms = 50;
-  ASSERT_TRUE(srv.start(opts));
+  srv.start(opts);
   ASSERT_TRUE(srv.running());
-  const int port = srv.port();
-  ASSERT_GT(port, 0);
-
-  // Plain TCP scrape: connect, read everything, expect an HTTP 200 with
-  // the exposition body.
-  const int sock = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(sock, 0);
-  ::sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(sock, reinterpret_cast<::sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const char req[] = "GET /metrics HTTP/1.0\r\n\r\n";
-  ASSERT_GT(::write(sock, req, sizeof(req) - 1), 0);
-  std::string resp;
-  char buf[4096];
-  ::ssize_t n = 0;
-  while ((n = ::read(sock, buf, sizeof(buf))) > 0) {
-    resp.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(sock);
-  EXPECT_NE(resp.find("200"), std::string::npos);
-  EXPECT_NE(resp.find("szp_uptime_seconds"), std::string::npos);
 
   // stop() writes one final snapshot even if the period never elapsed.
   srv.stop();
   EXPECT_FALSE(srv.running());
   const std::string snapshot = read_file(snap);
   EXPECT_NE(snapshot.find("szp_requests_total"), std::string::npos);
+  EXPECT_NE(snapshot.find("szp_uptime_seconds"), std::string::npos);
 }
 
 // --------------------------------------------------- always-on builtins ----

@@ -82,7 +82,7 @@ const std::vector<std::string>& raw_thread_whitelist() {
       "szp/gpusim/stream.hpp",      "szp/gpusim/stream.cpp",
       "szp/gpusim/launch.cpp",      "szp/pipeline/pipeline.hpp",
       "szp/pipeline/pipeline.cpp",
-      // The telemetry server's accept/snapshot threads must not recurse
+      // The telemetry snapshot thread must not recurse
       // into the instrumented runtime they observe.
       "szp/obs/telemetry/server.cpp",
   };
